@@ -1,21 +1,19 @@
-//! Boot-path comparison: snapshot formats v3 vs v2 vs v1.
+//! Boot-path comparison: snapshot format v3 vs v1.
 //!
 //! A production service boots from a snapshot at every deploy and every
-//! incremental-rebuild round. The three formats pay very different boot
+//! incremental-rebuild round. The two formats pay very different boot
 //! costs:
 //!
 //! * **v1** persists the mutable `TaxonomyStore`: boot = decode the store,
 //!   then a full `FrozenTaxonomy::freeze` (Tarjan SCC condensation, depth
 //!   DP, ancestor-closure materialisation + per-row sorts).
-//! * **v2** persists the `FrozenTaxonomy` itself: boot = decode + validate
-//!   (bounds, CSR invariants, closure consistency, FNV-1a checksum).
 //! * **v3** persists the varint/delta-encoded view format: boot = open a
 //!   borrowed `FrozenTaxonomyView` over the buffer — structural
 //!   validation over raw bytes, zero per-section allocation.
 //!
 //! The one-shot comparison printed before the Criterion groups makes the
-//! winners (boot time and bytes on disk) visible without reading
-//! Criterion output.
+//! winner (boot time and bytes on disk) visible without reading Criterion
+//! output.
 
 use cnp_taxonomy::{persist, Bytes, FrozenTaxonomy, FrozenTaxonomyView};
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -24,7 +22,6 @@ use std::time::Instant;
 
 struct Fixture {
     v1: Vec<u8>,
-    v2: Vec<u8>,
     v3: Vec<u8>,
 }
 
@@ -33,18 +30,12 @@ fn build_fixture() -> Fixture {
         cnp_encyclopedia::CorpusGenerator::new(cnp_encyclopedia::CorpusConfig::small(7)).generate();
     let outcome = cnp_core::Pipeline::new(cnp_core::PipelineConfig::fast()).run(&corpus);
     let v1 = persist::encode(&outcome.taxonomy).to_vec();
-    let frozen = outcome.freeze();
-    let v2 = frozen.encode().to_vec();
-    let v3 = persist::encode_frozen_v3(&frozen).to_vec();
-    Fixture { v1, v2, v3 }
+    let v3 = persist::encode_frozen_v3(&outcome.freeze()).to_vec();
+    Fixture { v1, v3 }
 }
 
 fn boot_v1(bytes: &[u8]) -> FrozenTaxonomy {
     FrozenTaxonomy::freeze(&persist::decode(bytes).expect("v1 decode"))
-}
-
-fn boot_v2(bytes: &[u8]) -> FrozenTaxonomy {
-    FrozenTaxonomy::decode(bytes).expect("v2 decode")
 }
 
 /// The v3 boot path as a file-backed service sees it: the read buffer
@@ -63,21 +54,16 @@ fn print_comparison(f: &Fixture) {
     let v1_t = t.elapsed() / reps;
     let t = Instant::now();
     for _ in 0..reps {
-        black_box(boot_v2(&f.v2));
-    }
-    let v2_t = t.elapsed() / reps;
-    let t = Instant::now();
-    for _ in 0..reps {
         black_box(boot_v3_view(&f.v3));
     }
     let v3_t = t.elapsed() / reps;
-    let frozen = boot_v2(&f.v2);
-    println!("\n============ snapshot boot: v3 vs v2 vs v1 ============");
+    let view = boot_v3_view(&f.v3);
+    println!("\n=============== snapshot boot: v3 vs v1 ===============");
     println!(
         "taxonomy: {} entities, {} concepts, {} isA edges",
-        frozen.num_entities(),
-        frozen.num_concepts(),
-        frozen.num_is_a()
+        view.num_entities(),
+        view.num_concepts(),
+        view.num_is_a()
     );
     println!(
         "v1 snapshot {:>9} bytes   boot (decode + freeze) {:>10.1?}",
@@ -85,19 +71,13 @@ fn print_comparison(f: &Fixture) {
         v1_t
     );
     println!(
-        "v2 snapshot {:>9} bytes   boot (validate-and-go) {:>10.1?}",
-        f.v2.len(),
-        v2_t
-    );
-    println!(
         "v3 snapshot {:>9} bytes   boot (borrowed view)   {:>10.1?}",
         f.v3.len(),
         v3_t
     );
     println!(
-        "v3 view boot speedup over v2 {:.2}x; v3 is {:.1}% smaller than v2",
-        v2_t.as_secs_f64() / v3_t.as_secs_f64().max(1e-12),
-        100.0 * (1.0 - f.v3.len() as f64 / f.v2.len() as f64)
+        "v3 view boot speedup over v1 {:.2}x",
+        v1_t.as_secs_f64() / v3_t.as_secs_f64().max(1e-12)
     );
     println!("=======================================================\n");
 }
@@ -109,9 +89,6 @@ fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("snapshot_boot");
     group.bench_function("load_v1_then_freeze", |b| {
         b.iter(|| black_box(boot_v1(black_box(&f.v1))))
-    });
-    group.bench_function("load_v2", |b| {
-        b.iter(|| black_box(boot_v2(black_box(&f.v2))))
     });
     group.bench_function("load_v3_view", |b| {
         b.iter(|| black_box(boot_v3_view(black_box(&f.v3))))

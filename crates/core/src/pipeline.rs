@@ -99,23 +99,11 @@ impl PipelineOutcome {
         FrozenTaxonomy::freeze_with(&self.taxonomy, &Runtime::new(self.threads))
     }
 
-    /// Freezes the taxonomy and persists the serving snapshot (format v2)
+    /// Freezes the taxonomy and persists the serving snapshot (format v3)
     /// in one step; later boots go straight through the serve crate's
-    /// `TaxonomyService::from_snapshot_file` (or the compatibility
-    /// `ProbaseApi`) without re-running the freeze. Returns the frozen
-    /// snapshot for immediate serving.
-    pub fn save_frozen(&self, path: &std::path::Path) -> Result<FrozenTaxonomy, PersistError> {
-        let frozen = self.freeze();
-        frozen.save_to_file(path)?;
-        Ok(frozen)
-    }
-
-    /// Freezes the taxonomy and persists it in the v3 view format: the
-    /// smallest snapshot and the fastest boot — `FrozenTaxonomyView::open`
-    /// serves straight off the loaded buffer instead of materialising
-    /// owned sections. Older boots still work: `Snapshot::load_from_file`
-    /// reads every format. Returns the frozen snapshot for immediate
-    /// serving.
+    /// `TaxonomyService::boot_from_file` without re-running the freeze,
+    /// and the zero-copy view serves straight off the loaded buffer.
+    /// Returns the frozen snapshot for immediate serving.
     pub fn save_view(&self, path: &std::path::Path) -> Result<FrozenTaxonomy, PersistError> {
         let frozen = self.freeze();
         std::fs::write(path, cnp_taxonomy::persist::encode_frozen_v3(&frozen))?;

@@ -47,7 +47,7 @@ pub const RULES: &[RuleInfo] = &[
             "no unwrap/expect/panic!/unreachable!/todo!/unimplemented!/slice-index-by-literal \
                   in non-test serving code",
         scope: "crates/serve/src, crates/server/src, crates/tag/src, \
-                crates/taxonomy/src/{frozen,view,read,varint}.rs",
+                crates/taxonomy/src/{frozen,view,read,varint,overlay,compact}.rs",
     },
     RuleInfo {
         name: RUNTIME_OWNS,
@@ -108,12 +108,16 @@ fn no_panic_scope(rel: &str) -> bool {
         // The tagger executes inside serving workers (Query::Tag); it is
         // serving-path code from day one.
         || rel.starts_with("crates/tag/src/")
+        // Every query after the first ingest reads through the overlay,
+        // and compaction folds it on a serving-side worker.
         || matches!(
             rel,
             "crates/taxonomy/src/frozen.rs"
                 | "crates/taxonomy/src/view.rs"
                 | "crates/taxonomy/src/read.rs"
                 | "crates/taxonomy/src/varint.rs"
+                | "crates/taxonomy/src/overlay.rs"
+                | "crates/taxonomy/src/compact.rs"
         )
 }
 

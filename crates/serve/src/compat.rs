@@ -34,8 +34,8 @@ pub struct EntitySense {
 ///
 /// Generic over the same [`TaxonomyRead`] backends as the service: the
 /// default keeps existing `ProbaseApi` mentions on the owned
-/// [`FrozenTaxonomy`], while `ProbaseApi::from_service` accepts a
-/// view-backed or `AnySnapshot`-backed service unchanged.
+/// [`FrozenTaxonomy`], while `ProbaseApi::from_service` accepts a service
+/// over the zero-copy `AnySnapshot` view unchanged.
 #[derive(Debug)]
 pub struct ProbaseApi<T = FrozenTaxonomy> {
     service: TaxonomyService<T>,
@@ -62,13 +62,11 @@ impl ProbaseApi {
         Self::from_service(TaxonomyService::new(frozen))
     }
 
-    /// Boots the service from a snapshot file of any format into the
-    /// owned backend: v2 is validate-and-go, v1 loads the build store and
-    /// pays one freeze here, v3 decodes into owned CSR.
+    /// Boots the service from a v1 or v3 snapshot file into the owned
+    /// backend: v1 loads the build store and pays one freeze here, v3
+    /// decodes into owned CSR.
     pub fn from_snapshot_file(path: &Path) -> Result<Self, PersistError> {
-        Ok(Self::from_service(TaxonomyService::from_snapshot_file(
-            path,
-        )?))
+        Ok(Self::from_service(TaxonomyService::boot_from_file(path)?))
     }
 }
 

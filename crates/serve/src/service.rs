@@ -6,7 +6,7 @@ use crate::query::Query;
 use crate::response::QueryResponse;
 use cnp_runtime::Runtime;
 use cnp_tag::TagIndex;
-use cnp_taxonomy::persist::{PersistError, Snapshot};
+use cnp_taxonomy::persist::PersistError;
 use cnp_taxonomy::{
     BootSnapshot, DeltaOverlay, FrozenTaxonomy, IngestDelta, TaxonomyRead, TaxonomyStore,
 };
@@ -48,10 +48,9 @@ impl<T> Generation<T> {
 /// last pin drops, which is exactly the hot-swap draining rule — in-flight
 /// work finishes on the generation it pinned.
 ///
-/// The backend `T` is any [`TaxonomyRead`] — the owned [`FrozenTaxonomy`],
-/// the borrowed `FrozenTaxonomyView`, or the version-dispatching
-/// `AnySnapshot`. The default keeps existing `PinnedSnapshot` mentions
-/// compiling unchanged.
+/// The backend `T` is any [`TaxonomyRead`] — the owned [`FrozenTaxonomy`]
+/// or the zero-copy `AnySnapshot` view. The default keeps existing
+/// `PinnedSnapshot` mentions compiling unchanged.
 #[derive(Debug, Clone)]
 pub struct PinnedSnapshot<T = FrozenTaxonomy> {
     inner: Arc<Generation<T>>,
@@ -100,9 +99,8 @@ impl<T: TaxonomyRead> PinnedSnapshot<T> {
 ///
 /// The backend is generic over [`TaxonomyRead`]: the same service type
 /// serves from the owned [`FrozenTaxonomy`] (the default, so existing
-/// `TaxonomyService` mentions compile unchanged), from the zero-copy
-/// `FrozenTaxonomyView` over a v3 snapshot buffer, or from `AnySnapshot`
-/// when the format is decided at boot time.
+/// `TaxonomyService` mentions compile unchanged) or from `AnySnapshot`,
+/// the zero-copy view over a v3 snapshot buffer.
 ///
 /// ```
 /// use cnp_serve::{Query, Response, TaxonomyService};
@@ -279,11 +277,10 @@ impl<T: TaxonomyRead + IngestDelta> TaxonomyService<T> {
 }
 
 impl<T: TaxonomyRead + BootSnapshot> TaxonomyService<T> {
-    /// Boots generation 1 from a snapshot file, decoding it as `T` boots:
-    /// `FrozenTaxonomy` accepts any version (paying a freeze for v1 and a
-    /// full decode for v3), `FrozenTaxonomyView` accepts v3 only and
-    /// opens it zero-copy, `AnySnapshot` picks the cheapest backend for
-    /// whatever version is on disk.
+    /// Boots generation 1 from a v1 or v3 snapshot file, decoding it as
+    /// `T` boots: `AnySnapshot` opens v3 zero-copy (a v1 store is frozen
+    /// and re-encoded first), `FrozenTaxonomy` pays a freeze for v1 and a
+    /// full decode for v3.
     pub fn boot_from_file(path: &Path) -> Result<Self, PersistError> {
         Ok(Self::new(T::boot_from_file(path)?))
     }
@@ -303,13 +300,6 @@ impl TaxonomyService {
     pub fn from_store(store: TaxonomyStore) -> Self {
         Self::new(FrozenTaxonomy::freeze(&store))
     }
-
-    /// Boots from a snapshot file of any format into the owned backend
-    /// (v2 is validate-and-go; v1 loads the build store and pays one
-    /// freeze here; v3 decodes the varint sections into owned CSR).
-    pub fn from_snapshot_file(path: &Path) -> Result<Self, PersistError> {
-        Ok(Self::new(Snapshot::load_from_file(path)?.into_frozen()?))
-    }
 }
 
 #[cfg(test)]
@@ -317,7 +307,7 @@ mod tests {
     use super::*;
     use crate::query::ListOptions;
     use crate::response::{QueryError, Response};
-    use cnp_taxonomy::{AnySnapshot, FrozenTaxonomyView, IsAMeta, OverlayView, Source};
+    use cnp_taxonomy::{persist, AnySnapshot, FrozenTaxonomyView, IsAMeta, OverlayView, Source};
 
     fn store_a() -> TaxonomyStore {
         let mut s = TaxonomyStore::new();
@@ -338,7 +328,7 @@ mod tests {
     }
 
     fn view_of(store: &TaxonomyStore) -> FrozenTaxonomyView {
-        let bytes = cnp_taxonomy::persist::encode_frozen_v3(&FrozenTaxonomy::freeze(store));
+        let bytes = persist::encode_frozen_v3(&FrozenTaxonomy::freeze(store));
         FrozenTaxonomyView::open(bytes).unwrap()
     }
 
@@ -405,7 +395,14 @@ mod tests {
         let store = store_b();
         let owned = TaxonomyService::from_store(store.clone());
         let view = TaxonomyService::new(view_of(&store));
-        let any = TaxonomyService::new(AnySnapshot::View(view_of(&store)));
+        // `AnySnapshot` booted from the v1 build store: frozen and
+        // re-encoded as v3 on the way in.
+        let dir = std::env::temp_dir().join("cnp_serve_any_v1_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("b_v1.cnpb");
+        persist::save_to_file(&store, &path).unwrap();
+        let any = TaxonomyService::<AnySnapshot>::boot_from_file(&path).unwrap();
+        std::fs::remove_file(&path).ok();
         let queries = [
             Query::men2ent("张学友"),
             Query::men2ent("无此人"),
@@ -428,8 +425,7 @@ mod tests {
         let dir = std::env::temp_dir().join("cnp_serve_view_reload_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("b_v3.cnpb");
-        cnp_taxonomy::persist::save_frozen_v3_to_file(&FrozenTaxonomy::freeze(&store_b()), &path)
-            .unwrap();
+        persist::save_frozen_v3_to_file(&FrozenTaxonomy::freeze(&store_b()), &path).unwrap();
         let service: TaxonomyService<FrozenTaxonomyView> =
             TaxonomyService::new(view_of(&store_a()));
         assert!(service.execute(&Query::men2ent("张学友")).result.is_err());
@@ -454,9 +450,7 @@ mod tests {
         let dir = std::env::temp_dir().join("cnp_serve_reload_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("b.cnpb");
-        FrozenTaxonomy::freeze(&store_b())
-            .save_to_file(&path)
-            .unwrap();
+        persist::save_frozen_v3_to_file(&FrozenTaxonomy::freeze(&store_b()), &path).unwrap();
         let service = TaxonomyService::from_store(store_a());
         assert_eq!(service.reload(&path).unwrap(), 2);
         std::fs::remove_file(&path).ok();
@@ -470,7 +464,6 @@ mod tests {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<TaxonomyService>();
         assert_send_sync::<PinnedSnapshot>();
-        assert_send_sync::<TaxonomyService<FrozenTaxonomyView>>();
         assert_send_sync::<TaxonomyService<AnySnapshot>>();
         assert_send_sync::<TaxonomyService<OverlayView<AnySnapshot>>>();
     }

@@ -7,11 +7,11 @@
 //!            [--compact-threshold N]
 //! ```
 //!
-//! Prints `cnp_server listening on <addr> (generation N, <mode>
-//! snapshot)` once the listener is bound — harness scripts wait for that
-//! line — then blocks until the process is killed. The mode says how the
-//! snapshot serves: `owned` (v1/v2, materialised) or `view` (v3,
-//! zero-copy off the loaded buffer).
+//! The snapshot file is a v3 serving snapshot, served zero-copy off the
+//! loaded buffer, or a v1 build store, frozen and re-encoded as v3 at
+//! boot. Prints `cnp_server listening on <addr> (generation N)` once the
+//! listener is bound — harness scripts wait for that line — then blocks
+//! until the process is killed.
 //!
 //! The snapshot serves behind a [`cnp_taxonomy::OverlayView`], so
 //! `POST /admin/ingest` can apply binary delta sidecars without a
@@ -75,15 +75,13 @@ fn main() -> ExitCode {
         return fail("--snapshot is required");
     };
 
-    // `AnySnapshot` boots whatever format the file holds: v1/v2
-    // materialise to the owned snapshot, v3 serves zero-copy from the
-    // loaded buffer. The overlay wrapper starts empty and only grows
-    // when `/admin/ingest` applies deltas.
+    // `AnySnapshot` serves zero-copy from the loaded buffer. The overlay
+    // wrapper starts empty and only grows when `/admin/ingest` applies
+    // deltas.
     let service = match TaxonomyService::<OverlayView<AnySnapshot>>::boot_from_file(&snapshot) {
         Ok(service) => Arc::new(service),
         Err(e) => return fail(&format!("cannot load snapshot {}: {e}", snapshot.display())),
     };
-    let mode = service.pin().frozen().base().mode();
     config.snapshot_path = Some(snapshot);
 
     let handle = match serve(service, config) {
@@ -91,7 +89,7 @@ fn main() -> ExitCode {
         Err(e) => return fail(&format!("cannot bind: {e}")),
     };
     println!(
-        "cnp_server listening on {} (generation {}, {mode} snapshot)",
+        "cnp_server listening on {} (generation {})",
         handle.addr(),
         handle.service().generation()
     );

@@ -44,9 +44,10 @@
 //! ```no_run
 //! use cnp_serve::{Query, TaxonomyService};
 //! use cnp_server::{serve, ServerConfig};
+//! use cnp_taxonomy::AnySnapshot;
 //! use std::sync::Arc;
 //!
-//! let service = Arc::new(TaxonomyService::from_snapshot_file(
+//! let service = Arc::new(TaxonomyService::<AnySnapshot>::boot_from_file(
 //!     std::path::Path::new("/tmp/cnp.snapshot"),
 //! )?);
 //! let handle = serve(service, ServerConfig::default())?;

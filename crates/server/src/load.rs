@@ -82,7 +82,7 @@ impl ProbeVocab {
         }
     }
 
-    /// [`ProbeVocab::from_frozen`] on a snapshot file of any format.
+    /// [`ProbeVocab::from_frozen`] on a v1 or v3 snapshot file.
     pub fn from_snapshot_file(path: &Path) -> Result<ProbeVocab, PersistError> {
         Ok(Self::from_frozen(
             &Snapshot::load_from_file(path)?.into_frozen()?,

@@ -98,8 +98,7 @@ struct Shared<T> {
 /// binary does).
 ///
 /// `T` is the snapshot backend the service answers from — the owned
-/// [`FrozenTaxonomy`] default, the borrowed `FrozenTaxonomyView`, or
-/// `AnySnapshot` for whatever format the snapshot file holds.
+/// [`FrozenTaxonomy`] default or the zero-copy `AnySnapshot` view.
 pub struct ServerHandle<T = FrozenTaxonomy> {
     addr: SocketAddr,
     shared: Arc<Shared<T>>,
@@ -182,9 +181,8 @@ impl<T> Drop for ServerHandle<T> {
 /// shut down or dropped.
 ///
 /// Generic over the snapshot backend: a service holding the owned
-/// `FrozenTaxonomy`, the borrowed `FrozenTaxonomyView`, the
-/// version-dispatching `AnySnapshot`, or an `OverlayView` over any of
-/// them all go on the wire unchanged. `BootSnapshot` is required because
+/// `FrozenTaxonomy`, the zero-copy `AnySnapshot` view, or an
+/// `OverlayView` over either goes on the wire unchanged. `BootSnapshot` is required because
 /// `/admin/reload` rebuilds a snapshot of the same representation from
 /// the configured file; `IngestDelta` because `/admin/ingest` applies
 /// delta overlays (every snapshot backend implements it — overlay views

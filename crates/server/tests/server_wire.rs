@@ -7,7 +7,9 @@ use cnp_serve::{
     wire, ListOptions, PageRequest, Query, QueryError, Response, TagOptions, TaxonomyService,
 };
 use cnp_server::{http, load, serve, LoadConfig, ProbeVocab, ServerConfig, ServerHandle};
-use cnp_taxonomy::{DeltaOverlay, FrozenTaxonomy, IsAMeta, OverlayView, Source, TaxonomyStore};
+use cnp_taxonomy::{
+    persist, AnySnapshot, DeltaOverlay, FrozenTaxonomy, IsAMeta, OverlayView, Source, TaxonomyStore,
+};
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
@@ -37,7 +39,7 @@ fn store_b() -> TaxonomyStore {
 
 fn snapshot_file(name: &str, store: &TaxonomyStore) -> PathBuf {
     let path = std::env::temp_dir().join(format!("cnp_wire_{}_{name}.cnpb", std::process::id()));
-    FrozenTaxonomy::freeze(store).save_to_file(&path).unwrap();
+    persist::save_frozen_v3_to_file(&FrozenTaxonomy::freeze(store), &path).unwrap();
     path
 }
 
@@ -146,9 +148,7 @@ fn mixed_traffic_stays_generation_consistent_across_live_reload() {
     // Let traffic flow on generation 1, then swap the snapshot file and
     // reload over the wire, mid-flight.
     std::thread::sleep(Duration::from_millis(100));
-    FrozenTaxonomy::freeze(&store_b())
-        .save_to_file(&path)
-        .unwrap();
+    persist::save_frozen_v3_to_file(&FrozenTaxonomy::freeze(&store_b()), &path).unwrap();
     let (status, doc) = exchange(addr, "POST", "/admin/reload", "");
     assert_eq!(status, 200, "reload: {}", doc.write());
     assert_eq!(doc.get("generation").and_then(Json::as_u64), Some(2));
@@ -309,6 +309,46 @@ fn ingest_under_load_never_tears_a_generation() {
     let stats = handle.stats();
     assert_eq!(stats.requests, stats.responses_ok + stats.responses_error);
     assert_eq!(stats.overloaded, 0);
+    handle.shutdown();
+}
+
+/// A reload that cannot decode its file is a typed 500 and changes
+/// nothing: the server keeps answering from the generation it booted. The
+/// file here is a retired v2 snapshot, refused by version number.
+#[test]
+fn failed_reload_keeps_serving_the_old_generation() {
+    let path = snapshot_file("reload_refused", &store_a());
+    let service =
+        Arc::new(TaxonomyService::<OverlayView<AnySnapshot>>::boot_from_file(&path).unwrap());
+    let handle = serve(
+        service,
+        ServerConfig {
+            snapshot_path: Some(path.clone()),
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let addr = handle.addr();
+    let query = Query::men2ent("刘德华");
+    let (status, before) = post_query(addr, &query);
+    assert_eq!(status, 200, "{}", before.write());
+
+    std::fs::write(&path, b"CNPB\x02\x00\x00\x00").unwrap();
+    let (status, doc) = exchange(addr, "POST", "/admin/reload", "");
+    std::fs::remove_file(&path).ok();
+    assert_eq!(status, 500, "reload: {}", doc.write());
+    let error = doc.get("error").expect("typed error body");
+    assert_eq!(
+        error.get("kind").and_then(Json::as_str),
+        Some("reloadFailed")
+    );
+    let detail = error.get("detail").and_then(Json::as_str).unwrap_or("");
+    assert!(detail.contains("version 2"), "detail: {detail}");
+
+    let (status, after) = post_query(addr, &query);
+    assert_eq!(status, 200, "{}", after.write());
+    assert_eq!(after.get("generation").and_then(Json::as_u64), Some(1));
+    assert_eq!(after.write(), before.write());
     handle.shutdown();
 }
 

@@ -24,7 +24,7 @@
 use crate::frozen::FrozenTaxonomy;
 use crate::overlay::{DeltaOverlay, IngestDelta, OverlayView};
 use crate::persist::{self, PersistError};
-use crate::read::{AnySnapshot, TaxonomyRead};
+use crate::read::TaxonomyRead;
 use crate::store::{RawStoreParts, TaxonomyStore};
 use crate::view::FrozenTaxonomyView;
 use cnp_runtime::Runtime;
@@ -61,11 +61,10 @@ pub(crate) trait ToStore {
     fn to_store(&self) -> Result<TaxonomyStore, PersistError>;
 }
 
-/// Rebuilds `Self`'s representation from a freshly frozen taxonomy,
-/// the last half of a compaction: `like` carries the representation
-/// choice (owned vs view) forward.
+/// Rebuilds `Self`'s representation from a freshly frozen taxonomy, the
+/// last half of a compaction.
 pub(crate) trait FromFrozen: Sized {
-    fn from_frozen(f: FrozenTaxonomy, like: &Self) -> Result<Self, PersistError>;
+    fn from_frozen(f: FrozenTaxonomy) -> Result<Self, PersistError>;
 }
 
 impl ToStore for FrozenTaxonomy {
@@ -75,7 +74,7 @@ impl ToStore for FrozenTaxonomy {
 }
 
 impl FromFrozen for FrozenTaxonomy {
-    fn from_frozen(f: FrozenTaxonomy, _like: &Self) -> Result<Self, PersistError> {
+    fn from_frozen(f: FrozenTaxonomy) -> Result<Self, PersistError> {
         Ok(f)
     }
 }
@@ -87,26 +86,8 @@ impl ToStore for FrozenTaxonomyView {
 }
 
 impl FromFrozen for FrozenTaxonomyView {
-    fn from_frozen(f: FrozenTaxonomy, _like: &Self) -> Result<Self, PersistError> {
+    fn from_frozen(f: FrozenTaxonomy) -> Result<Self, PersistError> {
         FrozenTaxonomyView::open(persist::encode_frozen_v3(&f))
-    }
-}
-
-impl ToStore for AnySnapshot {
-    fn to_store(&self) -> Result<TaxonomyStore, PersistError> {
-        match self {
-            AnySnapshot::Owned(f) => f.to_store(),
-            AnySnapshot::View(v) => v.to_store(),
-        }
-    }
-}
-
-impl FromFrozen for AnySnapshot {
-    fn from_frozen(f: FrozenTaxonomy, like: &Self) -> Result<Self, PersistError> {
-        match like {
-            AnySnapshot::Owned(o) => Ok(AnySnapshot::Owned(FrozenTaxonomy::from_frozen(f, o)?)),
-            AnySnapshot::View(v) => Ok(AnySnapshot::View(FrozenTaxonomyView::from_frozen(f, v)?)),
-        }
     }
 }
 
@@ -119,7 +100,7 @@ fn materialize<T: ToStore + FromFrozen>(
 ) -> Result<T, PersistError> {
     let mut store = snap.to_store()?;
     delta.apply_to_store(&mut store);
-    T::from_frozen(FrozenTaxonomy::freeze_with(&store, rt), snap)
+    T::from_frozen(FrozenTaxonomy::freeze_with(&store, rt))
 }
 
 impl IngestDelta for FrozenTaxonomy {
@@ -140,19 +121,6 @@ impl IngestDelta for FrozenTaxonomyView {
 
     fn compacted(&self, _rt: &Runtime) -> Result<Self, PersistError> {
         FrozenTaxonomyView::open(self.bytes_handle())
-    }
-}
-
-impl IngestDelta for AnySnapshot {
-    fn ingest_delta(&self, delta: &DeltaOverlay) -> Result<Self, PersistError> {
-        materialize(self, delta, &Runtime::default())
-    }
-
-    fn compacted(&self, rt: &Runtime) -> Result<Self, PersistError> {
-        match self {
-            AnySnapshot::Owned(f) => Ok(AnySnapshot::Owned(f.compacted(rt)?)),
-            AnySnapshot::View(v) => Ok(AnySnapshot::View(v.compacted(rt)?)),
-        }
     }
 }
 
@@ -182,7 +150,7 @@ where
         };
         log.apply_to_store(&mut store);
         let frozen = FrozenTaxonomy::freeze_with(&store, rt);
-        Ok(OverlayView::new(B::from_frozen(frozen, self.base())?))
+        Ok(OverlayView::new(B::from_frozen(frozen)?))
     }
 }
 
@@ -230,8 +198,8 @@ mod tests {
         let frozen = FrozenTaxonomy::freeze(&store);
         let refrozen = FrozenTaxonomy::freeze(&thaw(&frozen));
         assert_eq!(
-            persist::encode_frozen(&frozen),
-            persist::encode_frozen(&refrozen)
+            persist::encode_frozen_v3(&frozen),
+            persist::encode_frozen_v3(&refrozen)
         );
     }
 
@@ -246,8 +214,8 @@ mod tests {
         delta.apply_to_store(&mut original);
 
         assert_eq!(
-            persist::encode_frozen(&FrozenTaxonomy::freeze(&original)),
-            persist::encode_frozen(&FrozenTaxonomy::freeze(&thawed))
+            persist::encode_frozen_v3(&FrozenTaxonomy::freeze(&original)),
+            persist::encode_frozen_v3(&FrozenTaxonomy::freeze(&thawed))
         );
     }
 
@@ -266,8 +234,8 @@ mod tests {
         delta.apply_to_store(&mut union_store);
         let fresh = FrozenTaxonomy::freeze(&union_store);
         assert_eq!(
-            persist::encode_frozen(compacted.base()),
-            persist::encode_frozen(&fresh)
+            persist::encode_frozen_v3(compacted.base()),
+            persist::encode_frozen_v3(&fresh)
         );
     }
 

@@ -49,18 +49,13 @@ impl<T: Copy> Csr<T> {
         Csr { offsets, data }
     }
 
-    /// Rebuilds a CSR from its wire representation. The caller
-    /// ([`crate::persist`]) has already validated the invariants: first
-    /// offset 0, monotone offsets, final offset equal to `data.len()`.
+    /// Rebuilds a CSR from rows decoded off a snapshot. The caller
+    /// ([`crate::view`]) builds the offsets row by row, so they start at 0,
+    /// are monotone and end at `data.len()`.
     pub(crate) fn from_parts(offsets: Vec<u32>, data: Vec<T>) -> Self {
         debug_assert_eq!(offsets.first(), Some(&0));
         debug_assert_eq!(offsets.last().copied().unwrap_or(0) as usize, data.len());
         Csr { offsets, data }
-    }
-
-    /// Raw `(offsets, data)` view for the snapshot codec.
-    pub(crate) fn parts(&self) -> (&[u32], &[T]) {
-        (&self.offsets, &self.data)
     }
 
     /// Flat entry array (all rows concatenated), for the snapshot codec.
@@ -255,33 +250,6 @@ impl FrozenTaxonomy {
             by_mention,
             full_keys,
         }
-    }
-
-    // ----- persistence (snapshot format v2) -------------------------------
-
-    /// Serializes the snapshot to bytes — snapshot format v2, the
-    /// sectioned, checksummed layout of [`crate::persist`]. Loading it back
-    /// ([`Self::decode`]) is a validate-and-go boot: no Tarjan pass, no
-    /// depth DP, no closure materialisation.
-    pub fn encode(&self) -> bytes::Bytes {
-        crate::persist::encode_frozen(self)
-    }
-
-    /// Deserializes a v2 snapshot, validating every bound, the CSR and
-    /// closure invariants and the content checksum. For version dispatch
-    /// (v1 store snapshots included) use [`crate::persist::Snapshot::load`].
-    pub fn decode(bytes: &[u8]) -> Result<Self, crate::persist::PersistError> {
-        crate::persist::decode_frozen(bytes)
-    }
-
-    /// Writes a v2 snapshot to `path`.
-    pub fn save_to_file(&self, path: &std::path::Path) -> Result<(), crate::persist::PersistError> {
-        crate::persist::save_frozen_to_file(self, path)
-    }
-
-    /// Loads a v2 snapshot from `path`.
-    pub fn load_from_file(path: &std::path::Path) -> Result<Self, crate::persist::PersistError> {
-        crate::persist::load_frozen_from_file(path)
     }
 
     // ----- strings & handles ----------------------------------------------

@@ -25,18 +25,18 @@
 //!   `cnp_serve` crate, layered on this snapshot.)
 //! * [`query`] — higher-level queries: concept depth, lowest common
 //!   ancestors, siblings, Wu–Palmer similarity, conceptualisation.
-//! * [`persist`] — compact binary snapshots: v1 persists the mutable
-//!   store (load, then freeze), v2 persists the [`FrozenTaxonomy`] itself
-//!   behind a sectioned, checksummed layout so serving boots straight from
-//!   disk, v3 is the delta/varint-compressed layout the zero-copy view
-//!   serves from; [`persist::Snapshot`] dispatches on the version header.
+//! * [`persist`] — compact binary snapshots in two formats: v1 persists
+//!   the mutable build store (load, then freeze), v3 is the sectioned,
+//!   checksummed, delta/varint-compressed serving layout the zero-copy
+//!   view boots from; [`persist::Snapshot`] dispatches on the version
+//!   header.
 //! * [`varint`] — the LEB128/zigzag primitives of the v3 codec.
 //! * [`view`] — [`FrozenTaxonomyView`], the borrowed serving snapshot:
 //!   open a v3 buffer with in-place validation and answer every Table II
 //!   query straight off the bytes, zero per-section allocation on boot.
 //! * [`read`] — [`TaxonomyRead`], the query trait the serving layer is
-//!   generic over, plus [`AnySnapshot`] (version-dispatched boot into
-//!   owned or view form).
+//!   generic over, plus [`AnySnapshot`], the serving representation (the
+//!   view) that boots from either format.
 //! * [`stats`] — the size metrics reported in Table I.
 
 pub mod closure;

@@ -1,55 +1,48 @@
-//! Compact binary snapshots of the taxonomy, in three formats.
+//! Compact binary snapshots of the taxonomy, in two formats.
 //!
 //! A production taxonomy service loads its state from a snapshot at boot.
-//! All formats share the `CNPB` magic, the sectioned framing and a
-//! little-endian codec over [`bytes`]; they differ in *what* they persist
-//! and how much work boot does:
+//! Both formats share the `CNPB` magic and a little-endian codec over
+//! [`bytes`]; they differ in *what* they persist:
 //!
-//! * **v1** persists the mutable build-time [`TaxonomyStore`]. Booting the
-//!   serving path from a v1 snapshot costs a full
+//! * **v1** is the build format. It persists the mutable build-time
+//!   [`TaxonomyStore`], so booting the serving path from it costs a full
 //!   [`FrozenTaxonomy::freeze`] (Tarjan SCC condensation, depth DP,
 //!   ancestor-closure materialisation) before the first query.
-//! * **v2** persists the [`FrozenTaxonomy`] itself — interner, entity and
-//!   concept tables, all six CSR relations, the mention table, topological
-//!   order, exact depths and the materialised ancestor closure — so boot is
-//!   a validate-and-go load that still copies every section into owned
-//!   `Vec`s.
-//! * **v3** persists the same snapshot for
+//! * **v3** is the serving format. It persists the frozen snapshot for
 //!   [`crate::view::FrozenTaxonomyView`]: queries are answered by
 //!   borrowing directly out of the one loaded buffer, so boot allocates
 //!   nothing per section and validation reduces to a single
-//!   bounds/invariant sweep over the raw bytes. The bytes are smaller
-//!   too — CSR rows are delta+varint-encoded ([`crate::varint`]) and the
-//!   materialised ancestor closure is replaced by a succinct run/bitset
-//!   encoding decoded on the query path.
+//!   bounds/invariant sweep over the raw bytes. CSR rows are
+//!   delta+varint-encoded ([`crate::varint`]) and the ancestor closure
+//!   uses a succinct run/bitset encoding decoded on the query path.
 //!
-//! Shared layout:
+//! Version 2 was an owned, uncompressed serving format; it is retired and
+//! refused with [`PersistError::BadVersion`].
+//!
+//! v3 layout:
 //!
 //! ```text
-//! magic "CNPB" | version u32 = 1|2|3
+//! magic "CNPB" | version u32 = 3
 //!   | section*          section = tag [u8;4] | byte-length u64 | payload
 //!   | "CKSM" section    FNV-1a of every byte before the CKSM tag
 //! ```
 //!
 //! Readers skip sections with unknown tags, so future writers can add
-//! sections (before `CKSM`) without breaking old readers. Decoding
-//! validates the magic and version, every string, symbol and id bound, the
-//! CSR invariants (first offset zero, monotone row offsets, entry count
-//! matching the final offset, in-bounds column ids), the closure and depth
-//! consistency with the parent edges, and finally the content checksum —
-//! a truncated or bit-flipped snapshot fails loudly instead of producing a
+//! sections (before `CKSM`) without breaking old readers. Opening
+//! validates the magic and version, the framing, every string, symbol and
+//! id bound, the row invariants and finally the content checksum — a
+//! truncated or bit-flipped snapshot fails loudly instead of producing a
 //! broken service. Pre-allocations are capped by the remaining buffer
 //! length, so a hostile length field cannot trigger an OOM.
 //!
 //! [`Snapshot::load`] is the single entry point that dispatches on the
-//! version byte: v1 loads a store (freeze before serving), v2 loads the
-//! frozen snapshot directly, v3 opens the borrowed view.
+//! version word: v1 loads a store (freeze before serving), v3 opens the
+//! borrowed view.
 
 use crate::frozen::{Csr, FrozenTaxonomy};
 use crate::hash::{FxHashMap, FxHashSet};
 use crate::interner::{Interner, Symbol};
 use crate::overlay::{DeltaOp, DeltaOverlay};
-use crate::read::AnySnapshot;
 use crate::store::{ConceptId, EntityId, EntityRecord, IsAMeta, Source, TaxonomyStore};
 use crate::varint::{put_varint, varint_len, zigzag};
 use crate::view::FrozenTaxonomyView;
@@ -61,12 +54,10 @@ use std::path::Path;
 pub(crate) const MAGIC: &[u8; 4] = b"CNPB";
 /// v1: the mutable [`TaxonomyStore`] (load, then freeze).
 pub const VERSION_STORE: u32 = 1;
-/// v2: the [`FrozenTaxonomy`] serving snapshot (validate-and-go).
-pub const VERSION_FROZEN: u32 = 2;
 /// v3: the zero-copy [`FrozenTaxonomyView`] snapshot (borrow-and-go).
 pub const VERSION_VIEW: u32 = 3;
 
-// ----- section tags (v2 + v3; v3-only tags noted) -------------------------
+// ----- v3 section tags ----------------------------------------------------
 
 pub(crate) const SEC_INTERNER: [u8; 4] = *b"INTR";
 pub(crate) const SEC_ENTITIES: [u8; 4] = *b"ENTS";
@@ -77,24 +68,23 @@ pub(crate) const SEC_CONCEPT_PARENTS: [u8; 4] = *b"CPAR";
 pub(crate) const SEC_CONCEPT_CHILDREN: [u8; 4] = *b"CCHD";
 pub(crate) const SEC_ENTITY_ATTRS: [u8; 4] = *b"EATT";
 pub(crate) const SEC_ENTITY_ALIASES: [u8; 4] = *b"EALS";
-pub(crate) const SEC_ANCESTORS: [u8; 4] = *b"ANCS";
 pub(crate) const SEC_TOPO: [u8; 4] = *b"TOPO";
 pub(crate) const SEC_DEPTH: [u8; 4] = *b"DPTH";
 pub(crate) const SEC_MENTIONS: [u8; 4] = *b"MENT";
-/// v3 only: interner symbols sorted by string bytes (binary-search index).
+/// Interner symbols sorted by string bytes (binary-search index).
 pub(crate) const SEC_STR_SORT: [u8; 4] = *b"SSRT";
-/// v3 only: concept ids sorted by name symbol (binary-search index).
+/// Concept ids sorted by name symbol (binary-search index).
 pub(crate) const SEC_CONCEPT_SORT: [u8; 4] = *b"CSRT";
-/// v3 only: succinct ancestor closure (run/bitset rows, replaces `ANCS`).
+/// Succinct ancestor closure (run/bitset rows).
 pub(crate) const SEC_ANCESTOR_SUCC: [u8; 4] = *b"ANCC";
-/// v3 only: the deduplicated `(source, confidence)` dictionary every meta
-/// row indexes into — real corpora carry a handful of distinct edge
+/// The deduplicated `(source, confidence)` dictionary every meta row
+/// indexes into — real corpora carry a handful of distinct edge
 /// provenances, so one varint per edge replaces five raw bytes.
 pub(crate) const SEC_META_DICT: [u8; 4] = *b"MDCT";
-/// v3 only: mention-key hash index — `(stable_hash32, symbol)` pairs for
-/// every non-empty mention row, sorted by hash. `men2ent` resolves a
-/// mention with one hash plus a binary search over fixed-width rows
-/// instead of `log n` string comparisons through the interner.
+/// Mention-key hash index — `(stable_hash32, symbol)` pairs for every
+/// non-empty mention row, sorted by hash. `men2ent` resolves a mention
+/// with one hash plus a binary search over fixed-width rows instead of
+/// `log n` string comparisons through the interner.
 pub(crate) const SEC_MENTION_HASH: [u8; 4] = *b"MHSH";
 pub(crate) const SEC_CHECKSUM: [u8; 4] = *b"CKSM";
 
@@ -126,9 +116,10 @@ pub enum PersistError {
     /// An id/symbol referenced an out-of-range table index, or a structural
     /// invariant (CSR offsets, closure/depth consistency, …) failed.
     BadIndex(&'static str),
-    /// The v2 content checksum did not match the payload.
+    /// The content checksum of a v3 snapshot or a delta sidecar did not
+    /// match the payload.
     BadChecksum,
-    /// A required v2 section was absent.
+    /// A required v3 section was absent.
     MissingSection(&'static str),
     /// Underlying I/O error.
     Io(std::io::Error),
@@ -170,20 +161,19 @@ pub fn peek_version(buf: &[u8]) -> Result<u32, PersistError> {
     Ok(u32::from_le_bytes([buf[4], buf[5], buf[6], buf[7]]))
 }
 
-/// A decoded snapshot of any format, from the one [`Snapshot::load`]
+/// A decoded snapshot of either format, from the one [`Snapshot::load`]
 /// entry point that dispatches on the version header.
 #[derive(Debug)]
 pub enum Snapshot {
     /// A v1 snapshot: the mutable build store. Freeze before serving.
     Store(Box<TaxonomyStore>),
-    /// A v2 snapshot: the frozen serving snapshot, ready to serve.
-    Frozen(Box<FrozenTaxonomy>),
     /// A v3 snapshot: the borrowed zero-copy view, ready to serve.
     View(Box<FrozenTaxonomyView>),
 }
 
 impl Snapshot {
-    /// Decodes a snapshot of any version.
+    /// Decodes a v1 or v3 snapshot; any other version fails with
+    /// [`PersistError::BadVersion`].
     ///
     /// A v3 payload is copied once into the view's backing buffer (the
     /// slice may not outlive the snapshot); [`Snapshot::load_from_file`]
@@ -191,7 +181,6 @@ impl Snapshot {
     pub fn load(bytes: &[u8]) -> Result<Self, PersistError> {
         match peek_version(bytes)? {
             VERSION_STORE => Ok(Snapshot::Store(Box::new(decode(bytes)?))),
-            VERSION_FROZEN => Ok(Snapshot::Frozen(Box::new(decode_frozen(bytes)?))),
             VERSION_VIEW => Ok(Snapshot::View(Box::new(FrozenTaxonomyView::open(
                 Bytes::copy_from_slice(bytes),
             )?))),
@@ -199,7 +188,7 @@ impl Snapshot {
         }
     }
 
-    /// Loads a snapshot of any version from `path`. A v3 file boots
+    /// Loads a snapshot from `path` with one read. A v3 file boots
     /// zero-copy: the read buffer *is* the view's backing storage.
     pub fn load_from_file(path: &Path) -> Result<Self, PersistError> {
         let bytes = std::fs::read(path)?;
@@ -214,32 +203,29 @@ impl Snapshot {
     pub fn version(&self) -> u32 {
         match self {
             Snapshot::Store(_) => VERSION_STORE,
-            Snapshot::Frozen(_) => VERSION_FROZEN,
             Snapshot::View(_) => VERSION_VIEW,
         }
     }
 
-    /// The owned serving snapshot: a v2 payload is returned as-is, a v1
-    /// store pays the freeze (Tarjan + depth DP + closure) here, and a v3
-    /// view is fully decoded and deep-validated (the only variant that can
-    /// fail — a v3 boot defers the semantic cross-checks to this
+    /// The owned serving snapshot: a v1 store pays the freeze (Tarjan +
+    /// depth DP + closure) here, and a v3 view is fully decoded and
+    /// deep-validated (a v3 boot defers the semantic cross-checks to this
     /// materialisation).
     pub fn into_frozen(self) -> Result<FrozenTaxonomy, PersistError> {
         match self {
             Snapshot::Store(store) => Ok(FrozenTaxonomy::freeze(&store)),
-            Snapshot::Frozen(frozen) => Ok(*frozen),
             Snapshot::View(view) => view.to_frozen(),
         }
     }
 
-    /// The snapshot as a serving backend, preserving the zero-copy view
-    /// where there is one: v1 freezes, v2 is wrapped as-is, v3 keeps
-    /// borrowing from its buffer.
-    pub fn into_any(self) -> AnySnapshot {
+    /// The zero-copy serving view: a v3 view is returned as-is, a v1 store
+    /// is frozen and encoded as v3 first.
+    pub fn into_view(self) -> Result<FrozenTaxonomyView, PersistError> {
         match self {
-            Snapshot::Store(store) => AnySnapshot::Owned(FrozenTaxonomy::freeze(&store)),
-            Snapshot::Frozen(frozen) => AnySnapshot::Owned(*frozen),
-            Snapshot::View(view) => AnySnapshot::View(*view),
+            Snapshot::Store(store) => {
+                FrozenTaxonomyView::open(encode_frozen_v3(&FrozenTaxonomy::freeze(&store)))
+            }
+            Snapshot::View(view) => Ok(*view),
         }
     }
 }
@@ -420,183 +406,24 @@ pub fn load_from_file(path: &Path) -> Result<TaxonomyStore, PersistError> {
     decode(&bytes)
 }
 
-// ----- v2: the frozen serving snapshot ------------------------------------
-
-/// Serializes a frozen snapshot to bytes (format v2).
-pub fn encode_frozen(f: &FrozenTaxonomy) -> Bytes {
-    let mut buf = BytesMut::with_capacity(1 << 16);
-    buf.put_slice(MAGIC);
-    buf.put_u32_le(VERSION_FROZEN);
-
-    section(&mut buf, SEC_INTERNER, |b| {
-        b.put_u32_le(f.interner.len() as u32);
-        for (_, s) in f.interner.iter() {
-            put_str(b, s);
-        }
-    });
-    section(&mut buf, SEC_ENTITIES, |b| {
-        b.put_u32_le(f.entities.len() as u32);
-        for rec in &f.entities {
-            b.put_u32_le(rec.name.0);
-            b.put_u32_le(rec.disambig.0);
-        }
-    });
-    section(&mut buf, SEC_CONCEPTS, |b| {
-        b.put_u32_le(f.concepts.len() as u32);
-        for sym in &f.concepts {
-            b.put_u32_le(sym.0);
-        }
-    });
-    section(&mut buf, SEC_ENTITY_CONCEPTS, |b| {
-        put_meta_csr(b, &f.entity_concepts);
-    });
-    section(&mut buf, SEC_CONCEPT_ENTITIES, |b| {
-        put_id_csr(b, &f.concept_entities, |e: &EntityId| e.0);
-    });
-    section(&mut buf, SEC_CONCEPT_PARENTS, |b| {
-        put_meta_csr(b, &f.concept_parents);
-    });
-    section(&mut buf, SEC_CONCEPT_CHILDREN, |b| {
-        put_id_csr(b, &f.concept_children, |c: &ConceptId| c.0);
-    });
-    section(&mut buf, SEC_ENTITY_ATTRS, |b| {
-        put_id_csr(b, &f.entity_attrs, |s: &Symbol| s.0);
-    });
-    section(&mut buf, SEC_ENTITY_ALIASES, |b| {
-        put_id_csr(b, &f.entity_aliases, |s: &Symbol| s.0);
-    });
-    section(&mut buf, SEC_ANCESTORS, |b| {
-        put_id_csr(b, &f.ancestors, |c: &ConceptId| c.0);
-    });
-    section(&mut buf, SEC_TOPO, |b| {
-        b.put_u32_le(f.topo.len() as u32);
-        for c in &f.topo {
-            b.put_u32_le(c.0);
-        }
-    });
-    section(&mut buf, SEC_DEPTH, |b| {
-        b.put_u32_le(f.depth.len() as u32);
-        for &d in &f.depth {
-            b.put_u32_le(d);
-        }
-    });
-    section(&mut buf, SEC_MENTIONS, |b| {
-        put_id_csr(b, &f.by_mention, |e: &EntityId| e.0);
-    });
-
-    // Content checksum over everything written so far (header + sections).
-    let digest = stable_hash(&buf);
-    buf.put_slice(&SEC_CHECKSUM);
-    buf.put_u64_le(8);
-    buf.put_u64_le(digest);
-    buf.freeze()
-}
-
-/// Raw section payloads collected by the first decode pass, before any
-/// cross-section validation. Also the hand-off point for
-/// [`FrozenTaxonomyView::to_frozen`], which decodes its borrowed sections
-/// into the same shape and funnels them through [`validate_frozen`].
-#[derive(Default)]
+/// Every section of a decoded snapshot, before cross-section validation:
+/// the hand-off from [`FrozenTaxonomyView::to_frozen`], which decodes its
+/// borrowed sections into this shape and funnels them through
+/// [`validate_frozen`].
 pub(crate) struct RawSections {
-    pub(crate) interner: Option<Interner>,
-    pub(crate) entities: Option<Vec<EntityRecord>>,
-    pub(crate) concepts: Option<Vec<Symbol>>,
-    pub(crate) entity_concepts: Option<Csr<(ConceptId, IsAMeta)>>,
-    pub(crate) concept_entities: Option<Csr<EntityId>>,
-    pub(crate) concept_parents: Option<Csr<(ConceptId, IsAMeta)>>,
-    pub(crate) concept_children: Option<Csr<ConceptId>>,
-    pub(crate) entity_attrs: Option<Csr<Symbol>>,
-    pub(crate) entity_aliases: Option<Csr<Symbol>>,
-    pub(crate) ancestors: Option<Csr<ConceptId>>,
-    pub(crate) topo: Option<Vec<ConceptId>>,
-    pub(crate) depth: Option<Vec<u32>>,
-    pub(crate) by_mention: Option<Csr<EntityId>>,
-}
-
-/// Deserializes a frozen snapshot from bytes (format v2), validating every
-/// bound, the CSR/closure/depth invariants and the content checksum.
-pub fn decode_frozen(bytes: &[u8]) -> Result<FrozenTaxonomy, PersistError> {
-    if peek_version(bytes)? != VERSION_FROZEN {
-        return Err(PersistError::BadVersion(peek_version(bytes)?));
-    }
-    let mut buf = &bytes[8..];
-    let mut raw = RawSections::default();
-    let mut checksum_seen = false;
-
-    while !buf.is_empty() {
-        if buf.remaining() < 12 {
-            return Err(PersistError::Truncated("section header"));
-        }
-        // Byte offset of this section's tag, for the checksum prefix.
-        let tag_pos = bytes.len() - buf.len();
-        let mut tag = [0u8; 4];
-        buf.copy_to_slice(&mut tag);
-        let len = buf.get_u64_le();
-        if (buf.remaining() as u64) < len {
-            return Err(PersistError::Truncated("section body"));
-        }
-        let (body, rest) = buf.split_at(len as usize);
-        buf = rest;
-        match tag {
-            SEC_INTERNER => raw.interner = Some(decode_interner(body)?),
-            SEC_ENTITIES => raw.entities = Some(decode_entities(body)?),
-            SEC_CONCEPTS => raw.concepts = Some(decode_u32_list(body, "concept table", Symbol)?),
-            SEC_ENTITY_CONCEPTS => {
-                raw.entity_concepts = Some(get_meta_csr(body, "entity-concept CSR")?)
-            }
-            SEC_CONCEPT_ENTITIES => {
-                raw.concept_entities = Some(get_id_csr(body, "concept-entity CSR", EntityId)?)
-            }
-            SEC_CONCEPT_PARENTS => {
-                raw.concept_parents = Some(get_meta_csr(body, "concept-parent CSR")?)
-            }
-            SEC_CONCEPT_CHILDREN => {
-                raw.concept_children = Some(get_id_csr(body, "concept-child CSR", ConceptId)?)
-            }
-            SEC_ENTITY_ATTRS => {
-                raw.entity_attrs = Some(get_id_csr(body, "entity-attribute CSR", Symbol)?)
-            }
-            SEC_ENTITY_ALIASES => {
-                raw.entity_aliases = Some(get_id_csr(body, "entity-alias CSR", Symbol)?)
-            }
-            SEC_ANCESTORS => raw.ancestors = Some(get_id_csr(body, "ancestor CSR", ConceptId)?),
-            SEC_TOPO => raw.topo = Some(decode_u32_list(body, "topo order", ConceptId)?),
-            SEC_DEPTH => raw.depth = Some(decode_u32_list(body, "depth table", |d| d)?),
-            SEC_MENTIONS => raw.by_mention = Some(get_id_csr(body, "mention CSR", EntityId)?),
-            SEC_CHECKSUM => {
-                let mut body = body;
-                if len != 8 {
-                    return Err(PersistError::BadIndex("checksum section length"));
-                }
-                if body.get_u64_le() != stable_hash(&bytes[..tag_pos]) {
-                    return Err(PersistError::BadChecksum);
-                }
-                if !buf.is_empty() {
-                    return Err(PersistError::BadIndex("data after checksum section"));
-                }
-                checksum_seen = true;
-            }
-            // Unknown tag: a future format extension. Skip it; the bytes
-            // are still covered by the checksum.
-            _ => {}
-        }
-    }
-    if !checksum_seen {
-        return Err(PersistError::MissingSection("CKSM"));
-    }
-    validate_frozen(raw)
-}
-
-/// Writes a v2 frozen snapshot to `path`.
-pub fn save_frozen_to_file(f: &FrozenTaxonomy, path: &Path) -> Result<(), PersistError> {
-    std::fs::write(path, encode_frozen(f))?;
-    Ok(())
-}
-
-/// Loads a v2 frozen snapshot from `path`.
-pub fn load_frozen_from_file(path: &Path) -> Result<FrozenTaxonomy, PersistError> {
-    let bytes = std::fs::read(path)?;
-    decode_frozen(&bytes)
+    pub(crate) interner: Interner,
+    pub(crate) entities: Vec<EntityRecord>,
+    pub(crate) concepts: Vec<Symbol>,
+    pub(crate) entity_concepts: Csr<(ConceptId, IsAMeta)>,
+    pub(crate) concept_entities: Csr<EntityId>,
+    pub(crate) concept_parents: Csr<(ConceptId, IsAMeta)>,
+    pub(crate) concept_children: Csr<ConceptId>,
+    pub(crate) entity_attrs: Csr<Symbol>,
+    pub(crate) entity_aliases: Csr<Symbol>,
+    pub(crate) ancestors: Csr<ConceptId>,
+    pub(crate) topo: Vec<ConceptId>,
+    pub(crate) depth: Vec<u32>,
+    pub(crate) by_mention: Csr<EntityId>,
 }
 
 /// Cross-section validation + derived-map rebuild. Everything the freeze
@@ -605,20 +432,21 @@ pub fn load_frozen_from_file(path: &Path) -> Result<FrozenTaxonomy, PersistError
 /// so a decoded snapshot upholds the same invariants a freshly frozen one
 /// does.
 pub(crate) fn validate_frozen(raw: RawSections) -> Result<FrozenTaxonomy, PersistError> {
-    let missing = PersistError::MissingSection;
-    let interner = raw.interner.ok_or(missing("INTR"))?;
-    let entities = raw.entities.ok_or(missing("ENTS"))?;
-    let concepts = raw.concepts.ok_or(missing("CNPT"))?;
-    let entity_concepts = raw.entity_concepts.ok_or(missing("ECON"))?;
-    let concept_entities = raw.concept_entities.ok_or(missing("CENT"))?;
-    let concept_parents = raw.concept_parents.ok_or(missing("CPAR"))?;
-    let concept_children = raw.concept_children.ok_or(missing("CCHD"))?;
-    let entity_attrs = raw.entity_attrs.ok_or(missing("EATT"))?;
-    let entity_aliases = raw.entity_aliases.ok_or(missing("EALS"))?;
-    let ancestors = raw.ancestors.ok_or(missing("ANCS"))?;
-    let topo = raw.topo.ok_or(missing("TOPO"))?;
-    let depth = raw.depth.ok_or(missing("DPTH"))?;
-    let by_mention = raw.by_mention.ok_or(missing("MENT"))?;
+    let RawSections {
+        interner,
+        entities,
+        concepts,
+        entity_concepts,
+        concept_entities,
+        concept_parents,
+        concept_children,
+        entity_attrs,
+        entity_aliases,
+        ancestors,
+        topo,
+        depth,
+        by_mention,
+    } = raw;
 
     let n_strings = interner.len();
     let n_entities = entities.len();
@@ -842,7 +670,7 @@ pub(crate) fn validate_frozen(raw: RawSections) -> Result<FrozenTaxonomy, Persis
     })
 }
 
-// ----- v2 section codecs --------------------------------------------------
+// ----- section framing ----------------------------------------------------
 
 fn section(buf: &mut BytesMut, tag: [u8; 4], write: impl FnOnce(&mut BytesMut)) {
     // Write the payload in place and patch the length slot afterwards —
@@ -857,160 +685,6 @@ fn section(buf: &mut BytesMut, tag: [u8; 4], write: impl FnOnce(&mut BytesMut)) 
     buf[len_at..len_at + 8].copy_from_slice(&len.to_le_bytes());
 }
 
-fn decode_interner(mut body: &[u8]) -> Result<Interner, PersistError> {
-    let n = get_u32(&mut body, "string count")? as usize;
-    let mut interner = Interner::new();
-    for i in 0..n {
-        let s = get_str(&mut body)?;
-        // `Interner::new` pre-interns "" at 0, so a valid snapshot (whose
-        // first string is "") re-interns every string at its own index;
-        // duplicates or a missing leading "" surface as an index mismatch.
-        if interner.intern(&s).index() != i {
-            return Err(PersistError::BadIndex("duplicate interned string"));
-        }
-    }
-    expect_consumed(body, "interner section")?;
-    Ok(interner)
-}
-
-fn decode_entities(mut body: &[u8]) -> Result<Vec<EntityRecord>, PersistError> {
-    let n = get_u32(&mut body, "entity count")? as usize;
-    let mut out = Vec::with_capacity(n.min(body.remaining() / 8));
-    for _ in 0..n {
-        let name = Symbol(get_u32(&mut body, "entity name")?);
-        let disambig = Symbol(get_u32(&mut body, "entity disambig")?);
-        out.push(EntityRecord { name, disambig });
-    }
-    expect_consumed(body, "entity section")?;
-    Ok(out)
-}
-
-fn decode_u32_list<T>(
-    mut body: &[u8],
-    what: &'static str,
-    wrap: impl Fn(u32) -> T,
-) -> Result<Vec<T>, PersistError> {
-    let n = get_u32(&mut body, what)? as usize;
-    let mut out = Vec::with_capacity(n.min(body.remaining() / 4));
-    for _ in 0..n {
-        out.push(wrap(get_u32(&mut body, what)?));
-    }
-    expect_consumed(body, what)?;
-    Ok(out)
-}
-
-/// CSR wire layout: `rows u32 | offsets (rows+1)×u32 | entries u32 | data`.
-fn put_csr_header<T: Copy>(buf: &mut BytesMut, csr: &Csr<T>) {
-    let (offsets, data) = csr.parts();
-    buf.put_u32_le((offsets.len() - 1) as u32);
-    for &o in offsets {
-        buf.put_u32_le(o);
-    }
-    buf.put_u32_le(data.len() as u32);
-}
-
-fn put_id_csr<T: Copy>(buf: &mut BytesMut, csr: &Csr<T>, id: impl Fn(&T) -> u32) {
-    put_csr_header(buf, csr);
-    for t in csr.data() {
-        buf.put_u32_le(id(t));
-    }
-}
-
-fn put_meta_csr(buf: &mut BytesMut, csr: &Csr<(ConceptId, IsAMeta)>) {
-    put_csr_header(buf, csr);
-    for &(c, meta) in csr.data() {
-        buf.put_u32_le(c.0);
-        buf.put_u8(meta.source.to_u8());
-        // `IsAMeta`'s fields are public, so an unclamped or NaN confidence
-        // can reach a store without passing `IsAMeta::new`. Clamp on the
-        // way out (NaN → 0.0, the `IsAMeta::new` convention): the decoder
-        // rejects out-of-range confidences as corruption, and a snapshot
-        // that saved successfully must always load.
-        let conf = if meta.confidence.is_nan() {
-            0.0
-        } else {
-            meta.confidence.clamp(0.0, 1.0)
-        };
-        buf.put_f32_le(conf);
-    }
-}
-
-/// Reads the CSR preamble, returning `(offsets, n_entries)` with the
-/// structural invariants (first offset 0, monotone, final offset == entry
-/// count) already checked and allocations capped by the remaining bytes.
-fn get_csr_preamble(
-    body: &mut &[u8],
-    what: &'static str,
-    elem_size: usize,
-) -> Result<(Vec<u32>, usize), PersistError> {
-    let rows = get_u32(body, what)? as usize;
-    let n_offsets = rows + 1;
-    if (body.remaining() as u64) < n_offsets as u64 * 4 {
-        return Err(PersistError::Truncated(what));
-    }
-    let mut offsets = Vec::with_capacity(n_offsets.min(body.remaining() / 4));
-    let mut prev = 0u32;
-    for i in 0..n_offsets {
-        let o = body.get_u32_le();
-        if (i == 0 && o != 0) || o < prev {
-            return Err(PersistError::BadIndex(what));
-        }
-        prev = o;
-        offsets.push(o);
-    }
-    let n_entries = get_u32(body, what)? as usize;
-    if n_entries != prev as usize {
-        return Err(PersistError::BadIndex(what));
-    }
-    if (body.remaining() as u64) < n_entries as u64 * elem_size as u64 {
-        return Err(PersistError::Truncated(what));
-    }
-    Ok((offsets, n_entries))
-}
-
-fn get_id_csr<T: Copy>(
-    mut body: &[u8],
-    what: &'static str,
-    wrap: impl Fn(u32) -> T,
-) -> Result<Csr<T>, PersistError> {
-    let (offsets, n_entries) = get_csr_preamble(&mut body, what, 4)?;
-    let mut data = Vec::with_capacity(n_entries.min(body.remaining() / 4));
-    for _ in 0..n_entries {
-        data.push(wrap(body.get_u32_le()));
-    }
-    expect_consumed(body, what)?;
-    Ok(Csr::from_parts(offsets, data))
-}
-
-fn get_meta_csr(
-    mut body: &[u8],
-    what: &'static str,
-) -> Result<Csr<(ConceptId, IsAMeta)>, PersistError> {
-    let (offsets, n_entries) = get_csr_preamble(&mut body, what, 9)?;
-    let mut data = Vec::with_capacity(n_entries.min(body.remaining() / 9));
-    for _ in 0..n_entries {
-        let c = ConceptId(body.get_u32_le());
-        let src = body.get_u8();
-        let conf = body.get_f32_le();
-        let source = Source::from_u8(src).ok_or(PersistError::BadIndex("edge source tag"))?;
-        // Reject rather than clamp: the encoder only writes clamped values,
-        // so an out-of-range confidence is corruption, and clamping would
-        // break the byte-identical re-encode guarantee.
-        if !(0.0..=1.0).contains(&conf) {
-            return Err(PersistError::BadIndex("edge confidence"));
-        }
-        data.push((
-            c,
-            IsAMeta {
-                source,
-                confidence: conf,
-            },
-        ));
-    }
-    expect_consumed(body, what)?;
-    Ok(Csr::from_parts(offsets, data))
-}
-
 fn expect_consumed(body: &[u8], what: &'static str) -> Result<(), PersistError> {
     if body.is_empty() {
         Ok(())
@@ -1021,14 +695,14 @@ fn expect_consumed(body: &[u8], what: &'static str) -> Result<(), PersistError> 
 
 // ----- v3: the zero-copy view snapshot ------------------------------------
 //
-// Same framing and checksum as v2, different section bodies, designed so
-// `FrozenTaxonomyView` can answer every query straight off the buffer:
+// Section bodies are designed so `FrozenTaxonomyView` can answer every
+// query straight off the buffer:
 //
 // * `INTR` — `n u32 | n×u32 cumulative byte ends | concatenated UTF-8` —
 //   string `i` is `blob[end[i-1]..end[i]]`, no per-string length prefix.
 // * `SSRT` / `CSRT` — symbols sorted by string bytes / concept ids sorted
-//   by name symbol: the binary-search indexes replacing the hash maps a
-//   v2 boot rebuilds.
+//   by name symbol: the binary-search indexes that stand in for the
+//   owned snapshot's hash maps.
 // * `MDCT` — `n u32 | n×(source u8 | conf f32)` — the deduplicated edge
 //   metadata dictionary, sorted by `(source tag, confidence bits)`.
 // * CSR relations — varint-CSR ("VCSR"): `rows u32 | entries u32 |
@@ -1240,9 +914,11 @@ fn put_delta_ids(b: &mut BytesMut, ids: impl Iterator<Item = u32>) {
     }
 }
 
-/// Same clamp as the v2 encoder (see `put_meta_csr`): the decoder rejects
-/// out-of-range confidences, and a snapshot that saved successfully must
-/// always load.
+/// `IsAMeta`'s fields are public, so an unclamped or NaN confidence can
+/// reach a store without passing `IsAMeta::new`. Clamp on the way out
+/// (NaN → 0.0, the `IsAMeta::new` convention): the decoder rejects
+/// out-of-range confidences as corruption, and a snapshot that saved
+/// successfully must always load.
 fn clamp_conf(c: f32) -> f32 {
     if c.is_nan() {
         0.0
@@ -1783,24 +1459,54 @@ mod tests {
         }
     }
 
-    // ----- v2 -------------------------------------------------------------
+    // ----- v3 -------------------------------------------------------------
+
+    /// Encodes `frozen` as v3, opens the view and materialises it back
+    /// through the deep `to_frozen` validation.
+    fn roundtrip_v3(frozen: &FrozenTaxonomy) -> FrozenTaxonomy {
+        FrozenTaxonomyView::open(encode_frozen_v3(frozen))
+            .and_then(|view| view.to_frozen())
+            .expect("v3 round-trip")
+    }
+
+    /// `(tag, header start, section end)` for every section of a snapshot.
+    fn section_spans(bytes: &[u8]) -> Vec<([u8; 4], usize, usize)> {
+        let mut spans = Vec::new();
+        let mut cursor = &bytes[8..];
+        while cursor.remaining() >= 12 {
+            let start = bytes.len() - cursor.remaining();
+            let mut tag = [0u8; 4];
+            cursor.copy_to_slice(&mut tag);
+            let end = start + 12 + cursor.get_u64_le() as usize;
+            cursor = &bytes[end..];
+            spans.push((tag, start, end));
+        }
+        spans
+    }
+
+    /// A v2 header: the format is retired, so a version word is all it
+    /// takes to exercise the refusal.
+    fn v2_header() -> Vec<u8> {
+        let mut buf = MAGIC.to_vec();
+        buf.put_u32_le(2);
+        buf
+    }
 
     #[test]
     fn frozen_roundtrip_demo_store() {
         let frozen = FrozenTaxonomy::freeze(&demo_store());
-        let bytes = encode_frozen(&frozen);
-        let loaded = decode_frozen(&bytes).expect("decode_frozen");
+        let bytes = encode_frozen_v3(&frozen);
+        let loaded = roundtrip_v3(&frozen);
         assert_frozen_equal(&frozen, &loaded);
         // Re-encode is byte-identical: the codec is a pure function of the
         // snapshot contents and the derived maps never reach the wire.
-        assert_eq!(encode_frozen(&loaded).as_ref(), bytes.as_ref());
+        assert_eq!(encode_frozen_v3(&loaded), bytes);
     }
 
     #[test]
     fn frozen_roundtrip_preserves_queries() {
-        let store = demo_store();
-        let frozen = FrozenTaxonomy::freeze(&store);
-        let loaded = decode_frozen(&encode_frozen(&frozen)).unwrap();
+        let frozen = FrozenTaxonomy::freeze(&demo_store());
+        let loaded = roundtrip_v3(&frozen);
         for m in ["刘德华", "张学友", "Andy Lau", "刘德华（中国香港男演员）"] {
             assert_eq!(frozen.men2ent(m), loaded.men2ent(m), "mention {m}");
         }
@@ -1817,14 +1523,13 @@ mod tests {
         let person = store.find_concept("人物").unwrap();
         store.add_concept_is_a(person, actor, IsAMeta::new(Source::SubConcept, 0.1));
         let frozen = FrozenTaxonomy::freeze(&store);
-        let loaded = decode_frozen(&encode_frozen(&frozen)).unwrap();
-        assert_frozen_equal(&frozen, &loaded);
+        assert_frozen_equal(&frozen, &roundtrip_v3(&frozen));
     }
 
     /// Regression: `IsAMeta`'s fields are public, so a NaN or out-of-range
     /// confidence can enter a store without passing `IsAMeta::new`. The
-    /// encoder must clamp on the way out — pre-fix it wrote the raw value,
-    /// producing a snapshot that saved successfully but failed to load
+    /// encoder must clamp on the way out — otherwise it writes a snapshot
+    /// that saves successfully but fails to load
     /// (`BadIndex("edge confidence")`).
     #[test]
     fn frozen_encode_clamps_unclamped_confidence() {
@@ -1848,8 +1553,7 @@ mod tests {
                 confidence: 7.5,
             },
         );
-        let frozen = FrozenTaxonomy::freeze(&store);
-        let loaded = decode_frozen(&encode_frozen(&frozen)).expect("clamped snapshot loads");
+        let loaded = roundtrip_v3(&FrozenTaxonomy::freeze(&store));
         let nan_edge = loaded
             .concepts_of(e)
             .iter()
@@ -1866,8 +1570,7 @@ mod tests {
 
     #[test]
     fn frozen_empty_roundtrip() {
-        let frozen = FrozenTaxonomy::freeze(&TaxonomyStore::new());
-        let loaded = decode_frozen(&encode_frozen(&frozen)).unwrap();
+        let loaded = roundtrip_v3(&FrozenTaxonomy::freeze(&TaxonomyStore::new()));
         assert_eq!(loaded.num_entities(), 0);
         assert_eq!(loaded.num_concepts(), 0);
     }
@@ -1875,11 +1578,13 @@ mod tests {
     #[test]
     fn frozen_file_roundtrip() {
         let frozen = FrozenTaxonomy::freeze(&demo_store());
-        let dir = std::env::temp_dir().join("cnp_persist_test_v2");
+        let dir = std::env::temp_dir().join("cnp_persist_test_v3");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("snapshot.cnpb");
-        save_frozen_to_file(&frozen, &path).expect("save");
-        let loaded = load_frozen_from_file(&path).expect("load");
+        save_frozen_v3_to_file(&frozen, &path).expect("save");
+        let loaded = Snapshot::load_from_file(&path)
+            .and_then(Snapshot::into_frozen)
+            .expect("load");
         assert_frozen_equal(&frozen, &loaded);
         std::fs::remove_file(&path).ok();
     }
@@ -1887,36 +1592,32 @@ mod tests {
     #[test]
     fn snapshot_dispatches_on_version() {
         let store = demo_store();
-        let v1 = encode(&store);
         let frozen = FrozenTaxonomy::freeze(&store);
-        let v2 = encode_frozen(&frozen);
-        let v3 = encode_frozen_v3(&frozen);
-        let s1 = Snapshot::load(&v1).unwrap();
+        let s1 = Snapshot::load(&encode(&store)).unwrap();
         assert_eq!(s1.version(), VERSION_STORE);
-        let s2 = Snapshot::load(&v2).unwrap();
-        assert_eq!(s2.version(), VERSION_FROZEN);
-        let s3 = Snapshot::load(&v3).unwrap();
+        let s3 = Snapshot::load(&encode_frozen_v3(&frozen)).unwrap();
         assert_eq!(s3.version(), VERSION_VIEW);
         assert_frozen_equal(&frozen, &s3.into_frozen().expect("materialise v3"));
-        // v1 and v2 land on an equivalent serving snapshot. The v1 path
+        // A v1 store lands on an equivalent serving snapshot. The v1 path
         // re-interns strings in rebuild order, so symbols are compared
         // through `resolve`, not numerically.
-        let (a, b) = (s1.into_frozen().unwrap(), s2.into_frozen().unwrap());
+        let a = s1.into_frozen().unwrap();
+        let b = &frozen;
         assert_eq!(a.num_entities(), b.num_entities());
         assert_eq!(a.num_is_a(), b.num_is_a());
+        let resolve_all = |f: &FrozenTaxonomy, syms: &[Symbol]| -> Vec<String> {
+            syms.iter().map(|&s| f.resolve(s).to_string()).collect()
+        };
         for e in a.entity_ids() {
             assert_eq!(a.entity_key(e), b.entity_key(e));
             assert_eq!(a.concepts_of(e), b.concepts_of(e));
-            let resolve_all = |f: &FrozenTaxonomy, syms: &[Symbol]| -> Vec<String> {
-                syms.iter().map(|&s| f.resolve(s).to_string()).collect()
-            };
             assert_eq!(
                 resolve_all(&a, a.attributes_of(e)),
-                resolve_all(&b, b.attributes_of(e))
+                resolve_all(b, b.attributes_of(e))
             );
             assert_eq!(
                 resolve_all(&a, a.aliases_of(e)),
-                resolve_all(&b, b.aliases_of(e))
+                resolve_all(b, b.aliases_of(e))
             );
         }
         for c in a.concept_ids() {
@@ -1925,6 +1626,11 @@ mod tests {
             assert_eq!(a.ancestors_of(c), b.ancestors_of(c));
             assert_eq!(a.depth(c), b.depth(c));
         }
+        // The retired v2 format and unknown versions are refused by number.
+        assert!(matches!(
+            Snapshot::load(&v2_header()),
+            Err(PersistError::BadVersion(2))
+        ));
         let mut bad = BytesMut::new();
         bad.put_slice(MAGIC);
         bad.put_u32_le(77);
@@ -1935,94 +1641,123 @@ mod tests {
     }
 
     /// Rebuilds the trailing CKSM section after the test mutated the body.
-    fn reseal(mut bytes: Vec<u8>) -> Vec<u8> {
+    fn reseal(mut bytes: Vec<u8>) -> Bytes {
         bytes.truncate(bytes.len() - 20); // tag + u64 len + u64 digest
         let digest = stable_hash(&bytes);
         bytes.put_slice(&SEC_CHECKSUM);
         bytes.put_u64_le(8);
         bytes.put_u64_le(digest);
-        bytes
+        Bytes::from(bytes)
     }
 
     #[test]
     fn unknown_sections_are_skipped() {
         let frozen = FrozenTaxonomy::freeze(&demo_store());
-        let encoded = encode_frozen(&frozen);
+        let encoded = encode_frozen_v3(&frozen);
         // Splice an unknown section right after the header, re-seal.
         let mut bytes = encoded[..8].to_vec();
         bytes.put_slice(b"XTRA");
         bytes.put_u64_le(3);
         bytes.put_slice(b"\xAA\xBB\xCC");
         bytes.extend_from_slice(&encoded[8..]);
-        let loaded = decode_frozen(&reseal(bytes)).expect("skip unknown section");
-        assert_frozen_equal(&frozen, &loaded);
+        let view = FrozenTaxonomyView::open(reseal(bytes)).expect("skip unknown section");
+        assert_frozen_equal(&frozen, &view.to_frozen().expect("materialise"));
     }
 
     #[test]
     fn missing_section_is_reported() {
-        let frozen = FrozenTaxonomy::freeze(&demo_store());
-        let encoded = encode_frozen(&frozen);
+        let encoded = encode_frozen_v3(&FrozenTaxonomy::freeze(&demo_store()));
         // Drop the DPTH section wholesale, re-seal: structurally valid
         // framing, but a required section is gone.
         let mut bytes = encoded[..8].to_vec();
-        let mut cursor = &encoded[8..];
-        while cursor.remaining() >= 12 {
-            let start = encoded.len() - cursor.remaining();
-            let mut tag = [0u8; 4];
-            cursor.copy_to_slice(&mut tag);
-            let len = cursor.get_u64_le() as usize;
-            let end = start + 12 + len;
-            cursor = &encoded[end..];
+        for (tag, start, end) in section_spans(&encoded) {
             if tag != SEC_DEPTH {
                 bytes.extend_from_slice(&encoded[start..end]);
             }
         }
-        let err = decode_frozen(&reseal(bytes)).unwrap_err();
+        let err = FrozenTaxonomyView::open(reseal(bytes)).unwrap_err();
         assert!(matches!(err, PersistError::MissingSection("DPTH")), "{err}");
     }
 
     #[test]
     fn checksum_mismatch_is_detected() {
         let frozen = FrozenTaxonomy::freeze(&demo_store());
-        let mut bytes = encode_frozen(&frozen).to_vec();
+        let mut bytes = encode_frozen_v3(&frozen).to_vec();
         let last = bytes.len() - 1;
         bytes[last] ^= 0xFF; // corrupt the stored digest itself
         assert!(matches!(
-            decode_frozen(&bytes),
+            FrozenTaxonomyView::open(Bytes::from(bytes)),
             Err(PersistError::BadChecksum)
         ));
     }
 
     #[test]
-    fn v2_hostile_section_length_is_rejected() {
+    fn hostile_section_length_is_rejected() {
         let mut buf = BytesMut::new();
         buf.put_slice(MAGIC);
-        buf.put_u32_le(VERSION_FROZEN);
+        buf.put_u32_le(VERSION_VIEW);
         buf.put_slice(&SEC_INTERNER);
         buf.put_u64_le(u64::MAX);
         assert!(matches!(
-            decode_frozen(&buf),
+            FrozenTaxonomyView::open(buf.freeze()),
             Err(PersistError::Truncated(_))
         ));
     }
 
     #[test]
-    fn v2_hostile_csr_counts_are_rejected() {
-        // An ANCS section claiming u32::MAX rows over an 8-byte body: the
-        // offset-table size check fires before any allocation happens.
-        let mut buf = BytesMut::new();
-        buf.put_slice(MAGIC);
-        buf.put_u32_le(VERSION_FROZEN);
-        let mut payload = BytesMut::new();
-        payload.put_u32_le(u32::MAX);
-        payload.put_u32_le(0);
-        buf.put_slice(&SEC_ANCESTORS);
-        buf.put_u64_le(payload.len() as u64);
-        buf.put_slice(&payload);
-        assert!(matches!(
-            decode_frozen(&buf),
-            Err(PersistError::Truncated(_))
-        ));
+    fn hostile_csr_counts_are_rejected() {
+        // The ANCC section's row count, then its entry count, claims
+        // u32::MAX under a valid checksum: the bounds checks fire before
+        // any per-row work or allocation happens.
+        let encoded = encode_frozen_v3(&FrozenTaxonomy::freeze(&demo_store()));
+        let (_, start, _) = section_spans(&encoded)
+            .into_iter()
+            .find(|&(tag, _, _)| tag == SEC_ANCESTOR_SUCC)
+            .expect("ANCC section");
+        for word in [start + 12, start + 16] {
+            let mut bytes = encoded.to_vec();
+            bytes[word..word + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+            let err = FrozenTaxonomyView::open(reseal(bytes)).unwrap_err();
+            assert!(
+                matches!(err, PersistError::BadIndex(_) | PersistError::Truncated(_)),
+                "{err}"
+            );
+        }
+    }
+
+    /// A store over 12 concepts and 6 entities with drawn concept edges
+    /// (cycles included), entity links, aliases and disambiguations.
+    fn arbitrary_store(
+        concept_edges: &[(u32, u32, u32)],
+        entity_links: &[(u32, u32)],
+        aliased: &[u32],
+        disambiguated: &[u32],
+    ) -> TaxonomyStore {
+        let mut store = TaxonomyStore::new();
+        for i in 0..12 {
+            store.add_concept(&format!("概念{i}"));
+        }
+        for i in 0..6u32 {
+            let dis = disambiguated.contains(&i).then(|| format!("义项{i}"));
+            store.add_entity(&format!("实体{i}"), dis.as_deref());
+        }
+        for &(a, b, conf) in concept_edges {
+            if a != b {
+                store.add_concept_is_a(
+                    ConceptId(a),
+                    ConceptId(b),
+                    IsAMeta::new(Source::SubConcept, conf as f32 / 100.0),
+                );
+            }
+        }
+        for &(e, c) in entity_links {
+            store.add_entity_is_a(EntityId(e), ConceptId(c), IsAMeta::new(Source::Tag, 0.8));
+        }
+        for &e in aliased {
+            store.add_alias(EntityId(e), &format!("别名{e}"));
+            store.add_attribute(EntityId(e), "职业");
+        }
+        store
     }
 
     proptest! {
@@ -2047,9 +1782,10 @@ mod tests {
             prop_assert_eq!(store.num_is_a(), loaded.num_is_a());
         }
 
-        /// Arbitrary stores (cycles included): freeze → encode → decode
-        /// re-encodes byte-identically and answers identical
-        /// `concepts_of` / `entities_of` / `ancestors_of` queries.
+        /// Arbitrary stores (cycles included): freeze → v3 → `to_frozen`
+        /// re-encodes byte-identically (the canonical-closure-form
+        /// guarantee) and answers identical `concepts_of` / `entities_of`
+        /// / `ancestors_of` / `men2ent` queries.
         #[test]
         fn frozen_roundtrip_arbitrary(
             concept_edges in proptest::collection::vec((0u32..12, 0u32..12, 0u32..100), 0..40),
@@ -2057,34 +1793,11 @@ mod tests {
             aliased in proptest::collection::vec(0u32..6, 0..4),
             disambiguated in proptest::collection::vec(0u32..6, 0..4),
         ) {
-            let mut store = TaxonomyStore::new();
-            for i in 0..12 {
-                store.add_concept(&format!("概念{i}"));
-            }
-            for i in 0..6u32 {
-                let dis = disambiguated.contains(&i).then(|| format!("义项{i}"));
-                store.add_entity(&format!("实体{i}"), dis.as_deref());
-            }
-            for &(a, b, conf) in &concept_edges {
-                if a != b {
-                    store.add_concept_is_a(
-                        ConceptId(a),
-                        ConceptId(b),
-                        IsAMeta::new(Source::SubConcept, conf as f32 / 100.0),
-                    );
-                }
-            }
-            for &(e, c) in &entity_links {
-                store.add_entity_is_a(EntityId(e), ConceptId(c), IsAMeta::new(Source::Tag, 0.8));
-            }
-            for &e in &aliased {
-                store.add_alias(EntityId(e), &format!("别名{e}"));
-                store.add_attribute(EntityId(e), "职业");
-            }
+            let store = arbitrary_store(&concept_edges, &entity_links, &aliased, &disambiguated);
             let frozen = FrozenTaxonomy::freeze(&store);
-            let bytes = encode_frozen(&frozen);
-            let loaded = decode_frozen(&bytes).unwrap();
-            prop_assert_eq!(encode_frozen(&loaded).as_ref(), bytes.as_ref());
+            let bytes = encode_frozen_v3(&frozen);
+            let loaded = roundtrip_v3(&frozen);
+            prop_assert_eq!(encode_frozen_v3(&loaded), bytes);
             for e in frozen.entity_ids() {
                 prop_assert_eq!(frozen.concepts_of(e), loaded.concepts_of(e));
             }
@@ -2098,9 +1811,8 @@ mod tests {
             }
         }
 
-        /// Arbitrary stores through the v3 path: encode → open view ≡
-        /// owned queries, materialise through `to_frozen`, and re-encode
-        /// byte-identically (the canonical-closure-form guarantee).
+        /// Arbitrary stores through the zero-copy view: every query the
+        /// view decodes off the buffer matches the owned snapshot.
         #[test]
         fn view_roundtrip_arbitrary(
             concept_edges in proptest::collection::vec((0u32..12, 0u32..12, 0u32..100), 0..40),
@@ -2108,33 +1820,9 @@ mod tests {
             aliased in proptest::collection::vec(0u32..6, 0..4),
             disambiguated in proptest::collection::vec(0u32..6, 0..4),
         ) {
-            let mut store = TaxonomyStore::new();
-            for i in 0..12 {
-                store.add_concept(&format!("概念{i}"));
-            }
-            for i in 0..6u32 {
-                let dis = disambiguated.contains(&i).then(|| format!("义项{i}"));
-                store.add_entity(&format!("实体{i}"), dis.as_deref());
-            }
-            for &(a, b, conf) in &concept_edges {
-                if a != b {
-                    store.add_concept_is_a(
-                        ConceptId(a),
-                        ConceptId(b),
-                        IsAMeta::new(Source::SubConcept, conf as f32 / 100.0),
-                    );
-                }
-            }
-            for &(e, c) in &entity_links {
-                store.add_entity_is_a(EntityId(e), ConceptId(c), IsAMeta::new(Source::Tag, 0.8));
-            }
-            for &e in &aliased {
-                store.add_alias(EntityId(e), &format!("别名{e}"));
-                store.add_attribute(EntityId(e), "职业");
-            }
+            let store = arbitrary_store(&concept_edges, &entity_links, &aliased, &disambiguated);
             let frozen = FrozenTaxonomy::freeze(&store);
-            let bytes = encode_frozen_v3(&frozen);
-            let view = FrozenTaxonomyView::open(bytes.clone()).unwrap();
+            let view = FrozenTaxonomyView::open(encode_frozen_v3(&frozen)).unwrap();
             for e in frozen.entity_ids() {
                 prop_assert_eq!(
                     view.concepts_of(e).collect::<Vec<_>>(),
@@ -2168,8 +1856,6 @@ mod tests {
                     prop_assert_eq!(view.men2ent(&m), frozen.men2ent(&m).to_vec());
                 }
             }
-            let owned = view.to_frozen().unwrap();
-            prop_assert_eq!(encode_frozen_v3(&owned).as_ref(), bytes.as_ref());
         }
     }
 }

@@ -2,16 +2,17 @@
 //!
 //! [`TaxonomyRead`] is the query surface the serving layer compiles
 //! against: every Table II primitive, expressed so both the owned
-//! [`FrozenTaxonomy`] (slice-backed) and the borrowed
-//! [`FrozenTaxonomyView`] (varint-decoded on the fly) can implement it
-//! without allocating adapters. Listing methods return iterators — slices
-//! iterate for free, the view decodes lazily.
+//! [`FrozenTaxonomy`] (slice-backed: the freeze output and the test
+//! oracle) and the borrowed [`FrozenTaxonomyView`] (varint-decoded on the
+//! fly: the one serving representation) can implement it without
+//! allocating adapters. Listing methods return iterators — slices iterate
+//! for free, the view decodes lazily.
 //!
-//! [`AnySnapshot`] is the runtime dispatch: "whatever `Snapshot::load`
-//! produced, served through one type". v1/v2 snapshots materialise to the
-//! owned form; v3 boots as the zero-copy view. [`BootSnapshot`] is the
-//! boot constructor the service's hot-swap `reload` path needs to rebuild
-//! a snapshot of the same representation from a file.
+//! [`AnySnapshot`] names the serving representation: a v3 file boots as
+//! the zero-copy view, a v1 build store is frozen and re-encoded as v3 on
+//! the way in. [`BootSnapshot`] is the boot constructor the service's
+//! hot-swap `reload` path needs to rebuild a snapshot of the same
+//! representation from a file.
 
 use crate::frozen::FrozenTaxonomy;
 use crate::interner::Symbol;
@@ -290,47 +291,20 @@ impl BootSnapshot for FrozenTaxonomy {
 }
 
 impl BootSnapshot for FrozenTaxonomyView {
-    /// v3 only: the zero-copy boot path.
+    /// Reads the file once: v3 opens zero-copy over the read buffer, a v1
+    /// build store is frozen and encoded as v3 first. Any other version
+    /// fails with [`PersistError::BadVersion`].
     fn boot_from_file(path: &Path) -> Result<Self, PersistError> {
-        FrozenTaxonomyView::load_from_file(path)
+        Snapshot::load_from_file(path)?.into_view()
     }
 }
 
-impl BootSnapshot for AnySnapshot {
-    fn boot_from_file(path: &Path) -> Result<Self, PersistError> {
-        AnySnapshot::load_from_file(path)
-    }
-}
+/// The serving snapshot: whatever format the file holds, served through
+/// the zero-copy view.
+pub type AnySnapshot = FrozenTaxonomyView;
 
-/// A snapshot of any on-disk version, served through one type: v1/v2
-/// materialise to the owned [`FrozenTaxonomy`], v3 boots as the borrowed
-/// [`FrozenTaxonomyView`].
-#[derive(Debug, Clone)]
-pub enum AnySnapshot {
-    /// Owned, slice-backed snapshot (v1 load-then-freeze, v2 decode).
-    Owned(FrozenTaxonomy),
-    /// Borrowed, buffer-backed view (v3 zero-copy boot).
-    View(FrozenTaxonomyView),
-}
-
-impl AnySnapshot {
-    /// Loads a snapshot file of any version — the front door for servers
-    /// that should boot whatever format operations hands them.
-    pub fn load_from_file(path: &Path) -> Result<Self, PersistError> {
-        Ok(Snapshot::load_from_file(path)?.into_any())
-    }
-
-    /// Human-readable serving mode, for boot logs.
-    pub fn mode(&self) -> &'static str {
-        match self {
-            AnySnapshot::Owned(_) => "owned",
-            AnySnapshot::View(_) => "view",
-        }
-    }
-}
-
-/// Iterator sum type for [`AnySnapshot`]'s and
-/// [`crate::overlay::OverlayView`]'s delegated listings.
+/// Iterator sum type for [`crate::overlay::OverlayView`]'s delegated
+/// listings.
 pub(crate) enum Either<L, R> {
     L(L),
     R(R),
@@ -347,172 +321,27 @@ impl<T, L: Iterator<Item = T>, R: Iterator<Item = T>> Iterator for Either<L, R> 
     }
 }
 
-impl TaxonomyRead for AnySnapshot {
-    fn resolve(&self, sym: Symbol) -> &str {
-        match self {
-            AnySnapshot::Owned(f) => TaxonomyRead::resolve(f, sym),
-            AnySnapshot::View(v) => TaxonomyRead::resolve(v, sym),
-        }
-    }
-
-    fn entity(&self, id: EntityId) -> EntityRecord {
-        match self {
-            AnySnapshot::Owned(f) => TaxonomyRead::entity(f, id),
-            AnySnapshot::View(v) => TaxonomyRead::entity(v, id),
-        }
-    }
-
-    fn entity_key(&self, id: EntityId) -> String {
-        match self {
-            AnySnapshot::Owned(f) => TaxonomyRead::entity_key(f, id),
-            AnySnapshot::View(v) => TaxonomyRead::entity_key(v, id),
-        }
-    }
-
-    fn find_entity(&self, name: &str, disambig: Option<&str>) -> Option<EntityId> {
-        match self {
-            AnySnapshot::Owned(f) => TaxonomyRead::find_entity(f, name, disambig),
-            AnySnapshot::View(v) => TaxonomyRead::find_entity(v, name, disambig),
-        }
-    }
-
-    fn find_concept(&self, name: &str) -> Option<ConceptId> {
-        match self {
-            AnySnapshot::Owned(f) => TaxonomyRead::find_concept(f, name),
-            AnySnapshot::View(v) => TaxonomyRead::find_concept(v, name),
-        }
-    }
-
-    fn concept_name(&self, id: ConceptId) -> &str {
-        match self {
-            AnySnapshot::Owned(f) => TaxonomyRead::concept_name(f, id),
-            AnySnapshot::View(v) => TaxonomyRead::concept_name(v, id),
-        }
-    }
-
-    fn num_entities(&self) -> usize {
-        match self {
-            AnySnapshot::Owned(f) => TaxonomyRead::num_entities(f),
-            AnySnapshot::View(v) => TaxonomyRead::num_entities(v),
-        }
-    }
-
-    fn num_concepts(&self) -> usize {
-        match self {
-            AnySnapshot::Owned(f) => TaxonomyRead::num_concepts(f),
-            AnySnapshot::View(v) => TaxonomyRead::num_concepts(v),
-        }
-    }
-
-    fn num_is_a(&self) -> usize {
-        match self {
-            AnySnapshot::Owned(f) => TaxonomyRead::num_is_a(f),
-            AnySnapshot::View(v) => TaxonomyRead::num_is_a(v),
-        }
-    }
-
-    fn num_mentions(&self) -> usize {
-        match self {
-            AnySnapshot::Owned(f) => TaxonomyRead::num_mentions(f),
-            AnySnapshot::View(v) => TaxonomyRead::num_mentions(v),
-        }
-    }
-
-    fn men2ent(&self, mention: &str) -> Vec<EntityId> {
-        match self {
-            AnySnapshot::Owned(f) => TaxonomyRead::men2ent(f, mention),
-            AnySnapshot::View(v) => TaxonomyRead::men2ent(v, mention),
-        }
-    }
-
-    fn concepts_of(&self, e: EntityId) -> impl Iterator<Item = (ConceptId, IsAMeta)> + '_ {
-        match self {
-            AnySnapshot::Owned(f) => Either::L(TaxonomyRead::concepts_of(f, e)),
-            AnySnapshot::View(v) => Either::R(TaxonomyRead::concepts_of(v, e)),
-        }
-    }
-
-    fn entities_of(&self, c: ConceptId) -> impl Iterator<Item = EntityId> + '_ {
-        match self {
-            AnySnapshot::Owned(f) => Either::L(TaxonomyRead::entities_of(f, c)),
-            AnySnapshot::View(v) => Either::R(TaxonomyRead::entities_of(v, c)),
-        }
-    }
-
-    fn entities_with_confidence(&self, c: ConceptId) -> impl Iterator<Item = (EntityId, f32)> + '_ {
-        match self {
-            AnySnapshot::Owned(f) => Either::L(TaxonomyRead::entities_with_confidence(f, c)),
-            AnySnapshot::View(v) => Either::R(TaxonomyRead::entities_with_confidence(v, c)),
-        }
-    }
-
-    fn entity_edge(&self, e: EntityId, c: ConceptId) -> Option<IsAMeta> {
-        match self {
-            AnySnapshot::Owned(f) => TaxonomyRead::entity_edge(f, e, c),
-            AnySnapshot::View(v) => TaxonomyRead::entity_edge(v, e, c),
-        }
-    }
-
-    fn parents_of(&self, c: ConceptId) -> impl Iterator<Item = (ConceptId, IsAMeta)> + '_ {
-        match self {
-            AnySnapshot::Owned(f) => Either::L(TaxonomyRead::parents_of(f, c)),
-            AnySnapshot::View(v) => Either::R(TaxonomyRead::parents_of(v, c)),
-        }
-    }
-
-    fn children_of(&self, c: ConceptId) -> impl Iterator<Item = ConceptId> + '_ {
-        match self {
-            AnySnapshot::Owned(f) => Either::L(TaxonomyRead::children_of(f, c)),
-            AnySnapshot::View(v) => Either::R(TaxonomyRead::children_of(v, c)),
-        }
-    }
-
-    fn ancestors(&self, c: ConceptId) -> impl Iterator<Item = ConceptId> + '_ {
-        match self {
-            AnySnapshot::Owned(f) => Either::L(TaxonomyRead::ancestors(f, c)),
-            AnySnapshot::View(v) => Either::R(TaxonomyRead::ancestors(v, c)),
-        }
-    }
-
-    fn ancestor_contains(&self, c: ConceptId, sup: ConceptId) -> bool {
-        match self {
-            AnySnapshot::Owned(f) => TaxonomyRead::ancestor_contains(f, c, sup),
-            AnySnapshot::View(v) => TaxonomyRead::ancestor_contains(v, c, sup),
-        }
-    }
-
-    fn depth(&self, c: ConceptId) -> usize {
-        match self {
-            AnySnapshot::Owned(f) => TaxonomyRead::depth(f, c),
-            AnySnapshot::View(v) => TaxonomyRead::depth(v, c),
-        }
-    }
-
-    fn descendants(&self, start: ConceptId) -> Vec<ConceptId> {
-        match self {
-            AnySnapshot::Owned(f) => TaxonomyRead::descendants(f, start),
-            AnySnapshot::View(v) => TaxonomyRead::descendants(v, start),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::persist::encode_frozen_v3;
     use crate::store::{Source, TaxonomyStore};
 
-    fn demo() -> FrozenTaxonomy {
+    fn demo_store() -> TaxonomyStore {
         let mut s = TaxonomyStore::new();
         let liu = s.add_entity("刘德华", Some("中国香港男演员"));
         let actor = s.add_concept("演员");
         let person = s.add_concept("人物");
         s.add_concept_is_a(actor, person, IsAMeta::new(Source::SubConcept, 0.8));
         s.add_entity_is_a(liu, actor, IsAMeta::new(Source::Bracket, 0.96));
-        FrozenTaxonomy::freeze(&s)
+        s
     }
 
-    /// Generic query code must produce identical answers over all three
+    fn demo() -> FrozenTaxonomy {
+        FrozenTaxonomy::freeze(&demo_store())
+    }
+
+    /// Generic query code must produce identical answers over both
     /// `TaxonomyRead` implementations.
     fn describe<T: TaxonomyRead>(t: &T) -> Vec<String> {
         let mut out = Vec::new();
@@ -550,10 +379,7 @@ mod tests {
     fn all_representations_answer_identically() {
         let frozen = demo();
         let view = FrozenTaxonomyView::open(encode_frozen_v3(&frozen)).expect("open");
-        let base = describe(&frozen);
-        assert_eq!(describe(&view), base);
-        assert_eq!(describe(&AnySnapshot::View(view)), base);
-        assert_eq!(describe(&AnySnapshot::Owned(frozen)), base);
+        assert_eq!(describe(&view), describe(&frozen));
     }
 
     #[test]
@@ -561,15 +387,18 @@ mod tests {
         let frozen = demo();
         let dir = std::env::temp_dir().join(format!("cnp_read_{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("tmpdir");
+        let v1 = dir.join("v1.cnpb");
         let v2 = dir.join("v2.cnpb");
         let v3 = dir.join("v3.cnpb");
-        frozen.save_to_file(&v2).expect("save v2");
+        crate::persist::save_to_file(&demo_store(), &v1).expect("save v1");
+        std::fs::write(&v2, b"CNPB\x02\x00\x00\x00").expect("save v2 header");
         std::fs::write(&v3, encode_frozen_v3(&frozen)).expect("save v3");
-        let a = AnySnapshot::boot_from_file(&v2).expect("boot v2");
+        let a = AnySnapshot::boot_from_file(&v1).expect("boot v1");
         let b = AnySnapshot::boot_from_file(&v3).expect("boot v3");
-        assert_eq!(a.mode(), "owned");
-        assert_eq!(b.mode(), "view");
-        assert_eq!(a.num_is_a(), b.num_is_a());
+        let refused = AnySnapshot::boot_from_file(&v2).unwrap_err();
         let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(describe(&a), describe(&frozen));
+        assert_eq!(describe(&b), describe(&frozen));
+        assert!(matches!(refused, PersistError::BadVersion(2)), "{refused}");
     }
 }

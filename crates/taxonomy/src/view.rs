@@ -10,28 +10,25 @@
 //! afterwards decodes the handful of varints it touches, directly from the
 //! buffer.
 //!
-//! Contrast with the two owned paths:
+//! The view is the one serving representation: a v1 build store boots by
+//! freezing and re-encoding as v3 first (`BootSnapshot`), and the owned
+//! [`FrozenTaxonomy`] remains only as the freeze output and the test
+//! oracle.
 //!
-//! * v1 (`Snapshot::Store`) — decode a mutable store, then freeze:
-//!   Tarjan + closure + depth DP on every boot.
-//! * v2 ([`FrozenTaxonomy::decode`]) — validate-and-go, but still one
-//!   owned allocation per section and raw `u32` columns on disk.
-//! * v3 (this module) — validate-and-go with **zero per-section
-//!   allocation** and delta/varint-compressed columns.
-//!
-//! What v2 rebuilds as hash maps, v3 stores as sorted permutations
-//! (`SSRT`: symbols by string bytes; `CSRT`: concepts by name symbol) and
-//! the view binary-searches. Edge metadata lives once in the `MDCT`
-//! dictionary — meta rows carry varint indices into it, and the hyponym
-//! rows (`CENT`) mirror each edge's index inline so `getEntity` ranks by
-//! confidence without probing the entity-side adjacency. Full disambiguated keys
-//! (`刘德华（中国香港男演员）`) are resolved by splitting the mention at a
-//! `（…）` pair and scanning the name's mention row — no materialised
-//! full-key table. The one observable divergence from the owned map: a
-//! name that itself contains a full-width bracket can in principle admit
-//! more than one split; the view takes the first match, the owned table
-//! the freeze-time key. Encoder-produced snapshots of such corpora behave
-//! identically for every key the freeze actually indexed.
+//! Where the owned snapshot keeps hash maps, v3 stores sorted
+//! permutations (`SSRT`: symbols by string bytes; `CSRT`: concepts by
+//! name symbol) and the view binary-searches. Edge metadata lives once in
+//! the `MDCT` dictionary — meta rows carry varint indices into it, and the
+//! hyponym rows (`CENT`) mirror each edge's index inline so `getEntity`
+//! ranks by confidence without probing the entity-side adjacency. Full
+//! disambiguated keys (`刘德华（中国香港男演员）`) are resolved by
+//! splitting the mention at a `（…）` pair and scanning the name's mention
+//! row — no materialised full-key table. The one observable divergence
+//! from the owned map: a name that itself contains a full-width bracket
+//! can in principle admit more than one split; the view takes the first
+//! match, the owned table the freeze-time key. Encoder-produced snapshots
+//! of such corpora behave identically for every key the freeze actually
+//! indexed.
 //!
 //! The view's accessors are panic-free by construction (the
 //! `no-panic-serving-path` lint covers this file): malformed indexes
@@ -39,8 +36,7 @@
 //! is guaranteed by `open`; *semantic* invariants (topo permutation,
 //! closure correctness, key uniqueness) are deferred to
 //! [`FrozenTaxonomyView::to_frozen`], which materialises an owned
-//! [`FrozenTaxonomy`] through the same `validate_frozen` gate the v2
-//! decoder uses.
+//! [`FrozenTaxonomy`] through the `validate_frozen` gate.
 
 use crate::frozen::{Csr, FrozenTaxonomy};
 use crate::interner::{Interner, Symbol};
@@ -58,7 +54,6 @@ use bytes::Bytes;
 use cnp_runtime::stable_hash;
 use std::fmt;
 use std::ops::Range;
-use std::path::Path;
 
 /// One varint-CSR relation, addressed into the snapshot buffer.
 #[derive(Clone, Copy, Debug, Default)]
@@ -170,7 +165,7 @@ impl FrozenTaxonomyView {
             return Err(PersistError::BadVersion(version));
         }
 
-        // ----- section walk: same framing + checksum contract as v2 ------
+        // ----- section walk: framing + checksum ---------------------------
         const TAGS: [[u8; 4]; 17] = [
             SEC_INTERNER,
             SEC_STR_SORT,
@@ -567,12 +562,6 @@ impl FrozenTaxonomyView {
             by_mention,
             mention_hash_at,
         })
-    }
-
-    /// Reads `path` and opens it as a v3 view. One read, zero re-copies.
-    pub fn load_from_file(path: &Path) -> Result<Self, PersistError> {
-        let bytes = std::fs::read(path)?;
-        Self::open(Bytes::from(bytes))
     }
 
     /// The raw snapshot bytes backing this view.
@@ -1014,7 +1003,7 @@ impl FrozenTaxonomyView {
     // ----- materialisation ------------------------------------------------
 
     /// Decodes every section into an owned [`FrozenTaxonomy`], running the
-    /// same semantic validation (`validate_frozen`) as the v2 decoder:
+    /// semantic validation (`validate_frozen`) that `open` defers:
     /// topo permutation, closure/depth consistency, relation symmetry,
     /// key uniqueness. This is the "trust but verify" escape hatch — and
     /// the compatibility bridge for callers that need owned slices.
@@ -1060,35 +1049,26 @@ impl FrozenTaxonomyView {
             }
         }
         let raw = RawSections {
-            interner: Some(interner),
-            entities: Some(entities),
-            concepts: Some(concepts),
-            entity_concepts: Some(entity_concepts),
-            concept_entities: Some(
-                self.decode_csr(&self.concept_entities, |r| PairIdIter::new(r).map(EntityId)),
-            ),
-            concept_parents: Some(self.decode_csr(&self.concept_parents, |r| {
+            interner,
+            entities,
+            concepts,
+            entity_concepts,
+            concept_entities: self
+                .decode_csr(&self.concept_entities, |r| PairIdIter::new(r).map(EntityId)),
+            concept_parents: self.decode_csr(&self.concept_parents, |r| {
                 MetaRowIter::new(r, dict).map(|(c, m)| (ConceptId(c), m))
-            })),
-            concept_children: Some(
-                self.decode_csr(&self.concept_children, |r| IdRowIter::new(r).map(ConceptId)),
-            ),
-            entity_attrs: Some(
-                self.decode_csr(&self.entity_attrs, |r| IdRowIter::new(r).map(Symbol)),
-            ),
-            entity_aliases: Some(
-                self.decode_csr(&self.entity_aliases, |r| IdRowIter::new(r).map(Symbol)),
-            ),
-            ancestors: Some(self.decode_csr(&self.ancestors, AncestorIter::new)),
-            topo: Some(self.topo_order().collect()),
-            depth: Some(
-                (0..self.n_concepts)
-                    .map(|i| self.u32_at(self.depth_at + i * 4))
-                    .collect(),
-            ),
-            by_mention: Some(
-                self.decode_csr(&self.by_mention, |r| IdRowIter::new(r).map(EntityId)),
-            ),
+            }),
+            concept_children: self
+                .decode_csr(&self.concept_children, |r| IdRowIter::new(r).map(ConceptId)),
+            entity_attrs: self.decode_csr(&self.entity_attrs, |r| IdRowIter::new(r).map(Symbol)),
+            entity_aliases: self
+                .decode_csr(&self.entity_aliases, |r| IdRowIter::new(r).map(Symbol)),
+            ancestors: self.decode_csr(&self.ancestors, AncestorIter::new),
+            topo: self.topo_order().collect(),
+            depth: (0..self.n_concepts)
+                .map(|i| self.u32_at(self.depth_at + i * 4))
+                .collect(),
+            by_mention: self.decode_csr(&self.by_mention, |r| IdRowIter::new(r).map(EntityId)),
         };
         persist::validate_frozen(raw)
     }
@@ -1743,8 +1723,11 @@ mod tests {
 
     #[test]
     fn v2_bytes_are_rejected() {
-        let frozen = FrozenTaxonomy::freeze(&demo_store());
-        let err = FrozenTaxonomyView::open(frozen.encode()).unwrap_err();
+        let (_, view) = demo_view();
+        // A v3 snapshot relabelled as the retired v2 format.
+        let mut bytes = view.as_bytes().to_vec();
+        bytes[4..8].copy_from_slice(&2u32.to_le_bytes());
+        let err = FrozenTaxonomyView::open(Bytes::from(bytes)).unwrap_err();
         assert!(matches!(err, PersistError::BadVersion(2)));
     }
 

@@ -50,12 +50,13 @@ fn main() {
         api.get_entity(&concept, true, 3)
     );
 
-    // 5) Reload the persisted snapshot.
+    // 5) Reload the persisted snapshot. The file stays in place: a v1
+    //    store boots `cnp_server --snapshot <path>` directly.
     let reloaded = persist::load_from_file(&path).expect("load snapshot");
     println!(
-        "\nsnapshot round-trip: {} bytes, {} isA relations preserved",
+        "\nsnapshot round-trip: {} bytes, {} isA relations preserved in {}",
         std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0),
-        reloaded.num_is_a()
+        reloaded.num_is_a(),
+        path.display()
     );
-    std::fs::remove_file(&path).ok();
 }

@@ -1,9 +1,9 @@
 //! Boot the Table II serving path straight from a snapshot file.
 //!
-//! This is the production boot sequence: no pipeline, no freeze — load
-//! whatever snapshot format the file holds (v3 serves zero-copy from the
-//! loaded buffer; v1/v2 materialise the owned snapshot) and start
-//! answering `men2ent` / `getConcept` / `getEntity` immediately.
+//! This is the production boot sequence: no pipeline, no freeze — a v3
+//! snapshot serves zero-copy from the loaded buffer (a v1 build store is
+//! frozen and re-encoded as v3 first) and starts answering `men2ent` /
+//! `getConcept` / `getEntity` immediately.
 //!
 //! ```sh
 //! CNP_SNAPSHOT=/tmp/cnp.snapshot cargo run --release --example build_taxonomy
@@ -13,7 +13,7 @@
 //! Exits non-zero when the snapshot fails to load or serves an empty
 //! taxonomy, so CI can use it as a round-trip smoke check.
 
-use cn_probase::taxonomy::{AnySnapshot, EntityId, TaxonomyRead};
+use cn_probase::taxonomy::{AnySnapshot, EntityId};
 use cn_probase::{ProbaseApi, TaxonomyService};
 use std::path::Path;
 use std::time::Instant;
@@ -33,9 +33,8 @@ fn main() -> std::process::ExitCode {
     let api = ProbaseApi::from_service(service);
     let f = api.frozen();
     println!(
-        "booted from {path} ({bytes} bytes, {} mode) in {boot:.1?}: \
+        "booted from {path} ({bytes} bytes) in {boot:.1?}: \
          {} entities, {} concepts, {} isA edges, {} mentions",
-        f.mode(),
         f.num_entities(),
         f.num_concepts(),
         f.num_is_a(),

@@ -22,7 +22,9 @@
 use cn_probase::encyclopedia::{CorpusConfig, CorpusGenerator};
 use cn_probase::pipeline::{Pipeline, PipelineConfig};
 use cn_probase::serve::CursorError;
-use cn_probase::{ListOptions, PageRequest, Query, QueryError, Response, TaxonomyService};
+use cn_probase::{
+    FrozenTaxonomy, ListOptions, PageRequest, Query, QueryError, Response, TaxonomyService,
+};
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -38,7 +40,7 @@ fn build_snapshot(seed: u64, name: &str) -> PathBuf {
     let outcome = Pipeline::new(PipelineConfig::fast()).run(&corpus);
     let path = std::env::temp_dir().join(name);
     outcome
-        .save_frozen(&path)
+        .save_view(&path)
         .unwrap_or_else(|e| fail(&format!("cannot write snapshot: {e}")));
     path
 }
@@ -49,7 +51,7 @@ fn main() {
         _ => build_snapshot(21, "cnp_serve_queries_a.cnpb"),
     };
     let t = Instant::now();
-    let service = TaxonomyService::from_snapshot_file(&boot_path)
+    let service = TaxonomyService::<FrozenTaxonomy>::boot_from_file(&boot_path)
         .unwrap_or_else(|e| fail(&format!("boot from {}: {e}", boot_path.display())));
     let pinned = service.pin();
     let f = pinned.frozen();

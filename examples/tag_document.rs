@@ -1,7 +1,7 @@
 //! Tag documents straight off a snapshot file — the second serving
 //! workload, end to end.
 //!
-//! Boots a [`TaxonomyService`] from `CNP_SNAPSHOT` (any format; v3 serves
+//! Boots a [`TaxonomyService`] from `CNP_SNAPSHOT` (v3 or v1; it serves
 //! zero-copy), stitches a handful of documents out of the snapshot's own
 //! linked entities, and runs them through `Query::Tag`: segmentation
 //! seeded by the snapshot vocabulary, men2ent span resolution, and

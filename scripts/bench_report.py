@@ -3,24 +3,21 @@
 
 The output is the per-PR performance trajectory file: the load harness's
 wire-level latency/QPS numbers next to the key in-process criterion
-medians, so regressions show up as a diff against the committed file.
+means, so regressions show up as a diff against the committed file.
 
 Usage:
     bench_report.py --pr 8 --load /tmp/load_report.json \
         --criterion /tmp/criterion.log [--criterion more.log] \
-        [--snapshot-file v2=/tmp/cnp_v2.snapshot] \
         [--snapshot-file v3=/tmp/cnp.snapshot] \
         --out BENCH_8.json
 
 Each --snapshot-file NAME=PATH records the file's on-disk byte size under
-"snapshotBytes". When both v2 and v3 sizes are present, and when the
-criterion logs hold both snapshot_boot/load_v2 and
-snapshot_boot/load_v3_view medians, a "derived" block spells out the
-v3-vs-v2 size reduction and boot speedup so the trajectory diff shows the
-headline numbers directly.
+"snapshotBytes".
 
 Only the standard library is used; the criterion lines parsed are the
-vendored harness's summary format:
+vendored harness's summary format, whose figure is the mean time per
+iteration over the timed samples (kept under the "criterionNsPerIter"
+key):
 
     group/bench/param    14161133.0 ns/iter (10 iters)
 """
@@ -37,14 +34,14 @@ CRITERION_LINE = re.compile(
 
 
 def parse_criterion(paths):
-    medians = {}
+    means = {}
     for path in paths:
         with open(path, encoding="utf-8") as fh:
             for line in fh:
                 match = CRITERION_LINE.match(line)
                 if match:
-                    medians[match.group("name")] = float(match.group("ns"))
-    return medians
+                    means[match.group("name")] = float(match.group("ns"))
+    return means
 
 
 def snapshot_sizes(specs):
@@ -55,17 +52,6 @@ def snapshot_sizes(specs):
             raise SystemExit(f"bench_report: bad --snapshot-file {spec!r} (want NAME=PATH)")
         sizes[name] = os.path.getsize(path)
     return sizes
-
-
-def derived_metrics(sizes, criterion):
-    derived = {}
-    if sizes.get("v2") and sizes.get("v3"):
-        derived["v3SizeReductionVsV2"] = round(1.0 - sizes["v3"] / sizes["v2"], 4)
-    v2_boot = criterion.get("snapshot_boot/load_v2")
-    v3_boot = criterion.get("snapshot_boot/load_v3_view")
-    if v2_boot and v3_boot:
-        derived["v3ViewBootSpeedupVsV2"] = round(v2_boot / v3_boot, 2)
-    return derived
 
 
 def main():
@@ -110,9 +96,6 @@ def main():
     }
     if sizes:
         report["snapshotBytes"] = dict(sorted(sizes.items()))
-    derived = derived_metrics(sizes, criterion)
-    if derived:
-        report["derived"] = derived
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, ensure_ascii=False, sort_keys=False)
         fh.write("\n")

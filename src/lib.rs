@@ -13,8 +13,9 @@
 //!   stage runs on ([`cnp_runtime`]).
 //! * [`encyclopedia`] — synthetic Chinese-encyclopedia substrate
 //!   ([`cnp_encyclopedia`]).
-//! * [`taxonomy`] — the taxonomy storage engine and the frozen serving
-//!   snapshot ([`cnp_taxonomy`]).
+//! * [`taxonomy`] — the taxonomy storage engine and its two snapshot
+//!   formats: v1 persists the build store, v3 is the serving snapshot the
+//!   zero-copy view boots from ([`cnp_taxonomy`]).
 //! * [`serve`] — Serving API v1: the typed [`Query`]/[`Response`] protocol,
 //!   batching, pagination and zero-downtime snapshot hot-swap, plus the
 //!   [`ProbaseApi`] Table II compatibility wrapper ([`cnp_serve`]).
@@ -53,9 +54,10 @@ pub use cnp_text as text;
 
 // The headline serving types, re-exported at the crate root: build a
 // taxonomy with [`pipeline`], freeze it into a [`FrozenTaxonomy`], persist
-// it with `save_to_file` (snapshot format v2) and boot a [`TaxonomyService`]
-// straight from disk with `from_snapshot_file`; [`Snapshot`] dispatches on
-// the format version, [`PersistError`] is the decode error. Queries travel
+// it with `save_view` (snapshot format v3) and boot a [`TaxonomyService`]
+// over an [`AnySnapshot`] straight from disk with `boot_from_file`;
+// [`Snapshot`] dispatches on the format version, [`PersistError`] is the
+// decode error. Queries travel
 // as typed [`Query`] values and come back as generation-stamped
 // [`QueryResponse`]s; [`ProbaseApi`] is the paper-era Table II wrapper.
 pub use cnp_serve::{

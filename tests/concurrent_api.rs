@@ -9,7 +9,7 @@
 
 use cn_probase::encyclopedia::{CorpusConfig, CorpusGenerator};
 use cn_probase::pipeline::{Pipeline, PipelineConfig};
-use cn_probase::taxonomy::{IsAMeta, Source, TaxonomyStore};
+use cn_probase::taxonomy::{persist, IsAMeta, Source, TaxonomyStore};
 use cn_probase::{
     FrozenTaxonomy, ListOptions, ProbaseApi, Query, QueryResponse, Response, TaxonomyService,
 };
@@ -108,7 +108,7 @@ fn runtime_workers_match_single_threaded_answers() {
     rt.par_tasks(4 * THREADS, |t| hammer(&g, t * 53));
 }
 
-/// Snapshot-boot concurrency: persist the frozen taxonomy (format v2),
+/// Snapshot-boot concurrency: persist the frozen taxonomy (format v3),
 /// boot a fresh `ProbaseApi` from the file, and hammer it from 8 threads
 /// against the answers of the directly-frozen single-threaded API. The
 /// disk round-trip must be invisible to concurrent Table II traffic.
@@ -118,7 +118,7 @@ fn snapshot_booted_api_matches_across_threads() {
     let dir = std::env::temp_dir().join("cnp_concurrent_api_test");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("boot.cnpb");
-    g.api.frozen().save_to_file(&path).expect("save snapshot");
+    persist::save_frozen_v3_to_file(g.api.frozen(), &path).expect("save snapshot");
     let booted = ProbaseApi::from_snapshot_file(&path).expect("boot from snapshot");
     std::fs::remove_file(&path).ok();
     // Same golden answers, snapshot-booted service.

@@ -11,7 +11,7 @@
 use cn_probase::encyclopedia::{CorpusConfig, CorpusGenerator};
 use cn_probase::pipeline::{Pipeline, PipelineConfig, PipelineOutcome};
 use cn_probase::runtime::Runtime;
-use cn_probase::taxonomy::persist::encode_frozen;
+use cn_probase::taxonomy::persist::encode_frozen_v3;
 use cn_probase::{FrozenTaxonomy, IngestDelta, OverlayView};
 
 fn run_with_threads(corpus: &cn_probase::encyclopedia::Corpus, threads: usize) -> PipelineOutcome {
@@ -159,8 +159,8 @@ fn compaction_is_byte_identical_to_a_fresh_freeze_at_any_thread_count() {
 
         // ...is byte-identical, not merely query-identical.
         assert_eq!(
-            encode_frozen(compacted.base()),
-            encode_frozen(&fresh),
+            encode_frozen_v3(compacted.base()),
+            encode_frozen_v3(&fresh),
             "compacted snapshot diverges from fresh freeze at {threads} threads"
         );
         assert_frozen_equivalent(
@@ -203,10 +203,10 @@ fn stacked_overlays_compact_identically_across_thread_counts() {
         assert_eq!(view.overlay_depth(), 2);
         let compacted = view.compacted(&rt).expect("compaction failed");
         let fresh = FrozenTaxonomy::freeze_with(&union, &rt);
-        let bytes = encode_frozen(compacted.base());
+        let bytes = encode_frozen_v3(compacted.base());
         assert_eq!(
             bytes,
-            encode_frozen(&fresh),
+            encode_frozen_v3(&fresh),
             "stacked compaction diverges from fresh freeze at {threads} threads"
         );
         encodings.push(bytes);

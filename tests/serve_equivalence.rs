@@ -19,7 +19,7 @@ use cn_probase::{
 use std::path::PathBuf;
 
 fn fixture_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/golden_v2.cnpb")
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/golden_v3.cnpb")
 }
 
 fn senses_of(service: &TaxonomyService, mention: &str) -> Option<Vec<EntityId>> {
@@ -122,7 +122,8 @@ fn assert_equivalent(api: &ProbaseApi, service: &TaxonomyService, probes: &[Stri
 #[test]
 fn wrapper_and_service_agree_on_golden_fixture() {
     let api = ProbaseApi::from_snapshot_file(&fixture_path()).expect("boot wrapper");
-    let service = TaxonomyService::from_snapshot_file(&fixture_path()).expect("boot service");
+    let service =
+        TaxonomyService::<FrozenTaxonomy>::boot_from_file(&fixture_path()).expect("boot service");
     let mut probes = vec![
         "刘德华".to_string(),
         "刘德华（中国香港男演员）".to_string(),
@@ -182,7 +183,8 @@ fn wrapper_and_service_agree_on_generated_corpus() {
 
 #[test]
 fn cursor_walk_stitches_back_to_the_unpaged_result() {
-    let service = TaxonomyService::from_snapshot_file(&fixture_path()).expect("boot service");
+    let service =
+        TaxonomyService::<FrozenTaxonomy>::boot_from_file(&fixture_path()).expect("boot service");
     let unpaged_query = Query::GetEntity {
         concept: "人物".to_string(),
         options: ListOptions::transitive(),
@@ -221,7 +223,8 @@ fn cursor_walk_stitches_back_to_the_unpaged_result() {
 
 #[test]
 fn foreign_and_stale_cursors_are_typed_errors() {
-    let service = TaxonomyService::from_snapshot_file(&fixture_path()).expect("boot service");
+    let service =
+        TaxonomyService::<FrozenTaxonomy>::boot_from_file(&fixture_path()).expect("boot service");
     let query_for = |concept: &str, cursor: Option<cn_probase::Cursor>| Query::GetEntity {
         concept: concept.to_string(),
         options: ListOptions::transitive().with_page(PageRequest { limit: 1, cursor }),

@@ -25,11 +25,7 @@ fn fixture(name: &str) -> PathBuf {
 }
 
 fn frozen() -> FrozenTaxonomy {
-    let bytes = std::fs::read(fixture("golden_v2.cnpb")).expect("golden v2 fixture");
-    Snapshot::load(&bytes)
-        .expect("fixture decodes")
-        .into_frozen()
-        .expect("fixture freezes")
+    view().to_frozen().expect("fixture materialises")
 }
 
 fn view() -> FrozenTaxonomyView {
